@@ -50,20 +50,22 @@ def parse_rational(v) -> Fraction:
     if isinstance(v, str):
         try:
             return Fraction(v)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational: {v!r}") from exc
     raise InputError(f"not a rational: {v!r} (floats are not accepted)")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def parse_input_spec(doc: dict):
     """(TropicalMap, notices) from an input document."""
     if not isinstance(doc, dict):
         raise InputError("input must be a JSON object")
-    try:
-        n = int(doc["n"])
-        maps = doc["maps"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("input needs integer 'n' and a 'maps' list") from exc
+    n, maps = doc.get("n"), doc.get("maps")
+    if not _is_int(n):
+        raise InputError("input needs integer 'n' and a 'maps' list")
     if n < 1:
         raise InputError("n must be at least 1")
     if not isinstance(maps, list) or len(maps) != n:
@@ -71,13 +73,27 @@ def parse_input_spec(doc: dict):
     notices = []
     components = []
     for i, term_list in enumerate(maps):
+        if not isinstance(term_list, list):
+            raise InputError(f"component {i}: terms must be a list")
         terms = {}
         for term in term_list:
-            exp = tuple(int(e) for e in term["exp"])
+            if not isinstance(term, dict):
+                raise InputError(f"component {i}: term {term!r} is not an object")
+            exp = term.get("exp")
+            if not (isinstance(exp, list) and all(map(_is_int, exp))):
+                raise InputError(
+                    f"component {i}: exponent {exp!r} is not a list of integers")
+            exp = tuple(exp)
             if "val" in term:
                 val = parse_rational(term["val"])
             elif "series" in term:
-                val, notes = valuation_of_series(term["series"])
+                if not isinstance(term["series"], str):
+                    raise InputError(f"component {i}: series {term['series']!r} "
+                                     "is not a string")
+                try:
+                    val, notes = valuation_of_series(term["series"])
+                except ValueError as exc:
+                    raise InputError(f"component {i}: {exc}") from exc
                 notices.extend(notes)
             else:
                 raise InputError(f"term {term!r} needs 'val' or 'series'")
@@ -203,18 +219,17 @@ def _check_dim_cap(n, cap):
         raise DimensionCapExceeded(f"dimension {n} exceeds cap {cap}")
 
 
-def _transversality_report(F, faces):
+def _transversality_report(F, contexts):
     """Transversality of the full decomposition and every restricted one."""
     offenders = []
     cx = decomposition(F.term_maps(), [MINUS_INF] * F.n, n=F.n)
     ok, bad = cx.is_transversal()
     if not ok:
         offenders.append({"face": None, "cells": bad})
-    for f in faces:
-        ctx = analyze_gamma(F, f)
+    for ctx in contexts:
         ok, bad = ctx.complex.is_transversal()
         if not ok:
-            offenders.append({"face": f.id, "cells": bad})
+            offenders.append({"face": ctx.face.id, "cells": bad})
     return offenders
 
 
@@ -225,13 +240,14 @@ def cmd_compute(args) -> int:
     _check_dim_cap(F.n, args.dim_cap)
     tup = delta0(F, dim_cap=args.dim_cap)
     faces = enumerate_tuple_faces(tup)
-    offenders = _transversality_report(F, faces)
+    contexts = [analyze_gamma(F, f) for f in faces]
+    offenders = _transversality_report(F, contexts)
     if offenders:
         print("transversality violation; offending cells:", file=sys.stderr)
         for o in offenders:
             print(f"  face={o['face']} cells={o['cells']}", file=sys.stderr)
         return EXIT_GENERICITY
-    s = tnp_set(F, staircase=not args.product, tuple_data=tup, faces=faces)
+    s = tnp_set(F, staircase=not args.product, contexts=contexts)
     doc = {
         "schema": SCHEMA,
         "n": F.n,
@@ -248,7 +264,7 @@ def cmd_oracle(args) -> int:
     _check_dim_cap(F.n, args.dim_cap)
     doc = {"schema": SCHEMA, "n": F.n}
     if args.point:
-        pt = [Fraction(v) for v in args.point.split(",")]
+        pt = _parse_point(args.point, F.n)
         verdict = in_tnp(F, pt)
         doc["verdict"] = {
             "point": vec_json(pt),
@@ -257,13 +273,15 @@ def cmd_oracle(args) -> int:
             "cell": verdict.cell_id,
         }
     elif args.grid:
-        engine = None
         if args.against:
             with open(args.against, "r", encoding="utf-8") as fh:
                 parsed = parse_output_doc(fh.read())
-            engine = _EngineView(parsed["tnp_pieces"])
+            if parsed["n"] != F.n:
+                raise InputError(f"--against document has n = {parsed['n']}, "
+                                 f"the input has n = {F.n}")
+            engine = _EngineView(F.n, parsed["tnp_pieces"])
         else:
-            engine = _EngineView(tnp_set(F).polytopes)
+            engine = tnp_set(F)
         box = _parse_box(args.box, F.n) if args.box else None
         report = grid_compare(F, engine, box=box, resolution=args.res)
         doc["grid"] = {
@@ -281,12 +299,17 @@ def cmd_oracle(args) -> int:
 
 
 class _EngineView:
-    """Adapter giving plain piece lists the TNPSet membership interface."""
+    """Adapter giving a parsed piece list the TNPSet interface that the
+    oracle's grid comparison and the fan recovery read."""
 
-    def __init__(self, polytopes):
+    def __init__(self, n, polytopes):
+        self.n = n
         self.polytopes = list(polytopes)
-        self.n = polytopes[0].n if polytopes else 0
         self.canonical = tuple((p, ()) for p in self.polytopes)
+
+    @property
+    def is_empty(self):
+        return not self.polytopes
 
     def membership(self, y):
         return any(p.contains(y) for p in self.polytopes)
@@ -295,23 +318,25 @@ class _EngineView:
         verts = [v for p in self.polytopes for v in p.vertices]
         if not verts:
             return None
-        n = self.n
         return [(min(v[i] for v in verts), max(v[i] for v in verts))
-                for i in range(n)]
+                for i in range(self.n)]
+
+
+def _parse_point(text: str, n: int):
+    """n comma-separated exact rationals."""
+    coords = text.split(",")
+    if len(coords) != n:
+        raise InputError(f"point {text!r} needs {n} coordinates")
+    return [parse_rational(v) for v in coords]
 
 
 def _parse_box(text: str, n: int):
     parts = text.split(";")
     if len(parts) == 1:
-        lo, hi = (Fraction(v) for v in parts[0].split(","))
-        return [(lo, hi)] * n
+        return [tuple(_parse_point(parts[0], 2))] * n
     if len(parts) != n:
         raise InputError(f"box needs 1 or {n} 'lo,hi' groups")
-    out = []
-    for part in parts:
-        lo, hi = (Fraction(v) for v in part.split(","))
-        out.append((lo, hi))
-    return out
+    return [tuple(_parse_point(part, 2)) for part in parts]
 
 
 def cmd_faces(args) -> int:
@@ -328,27 +353,15 @@ def cmd_newton(args) -> int:
     if args.tnp:
         with open(args.tnp, "r", encoding="utf-8") as fh:
             parsed = parse_output_doc(fh.read())
-        n = parsed["n"]
-        pieces = parsed["tnp_pieces"]
-        view = _EngineView(pieces)
-        view.n = n
-        source = view
+        source = _EngineView(parsed["n"], parsed["tnp_pieces"])
     else:
         F, _ = load_input(args.input)
         _check_dim_cap(F.n, args.dim_cap)
         source = tnp_set(F)
-        n = F.n
-    fan = recover_fan(_FanInput(n, source.polytopes))
-    doc = {"schema": SCHEMA, "n": n, "fan": fan_json(fan)}
+    fan = recover_fan(source)
+    doc = {"schema": SCHEMA, "n": source.n, "fan": fan_json(fan)}
     dump_doc(doc, args.output)
     return EXIT_OK
-
-
-class _FanInput:
-    def __init__(self, n, polytopes):
-        self.n = n
-        self.polytopes = list(polytopes)
-        self.is_empty = not polytopes
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +423,7 @@ def render_svg(F, s, window=None, y_overlay=None, size=640) -> str:
     overlay = []
     if y_overlay is not None:
         oy = decomposition(F.term_maps(), list(y_overlay), n=F.n, bend_only=True)
-        overlay = [c.closure for c in oy.cells
-                   if c.dim >= 1 and all(d.dim > 0 for d in c.summands)]
+        overlay = [c.closure for c in oy.cells if c.dim >= 1]
     if window is None:
         pts = [v for c in cx.cells for v in c.closure.vertices]
         pts += [v for p in s.polytopes for v in p.vertices]
@@ -480,7 +492,7 @@ def cmd_plot(args) -> int:
         window = (box[0], box[1])
     y_overlay = None
     if args.point:
-        y_overlay = [Fraction(v) for v in args.point.split(",")]
+        y_overlay = _parse_point(args.point, 2)
     svg = render_svg(F, s, window=window, y_overlay=y_overlay)
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(svg)

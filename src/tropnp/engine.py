@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 from .geom import Polyhedron, covered_by_union, frac_vec
 from .subdivision import Cell, CellComplex, decomposition
-from .faces import PolytopeTuple, TupleFace, delta0, enumerate_tuple_faces
+from .faces import TupleFace, delta0, enumerate_tuple_faces
 from .tropical import MINUS_INF, PLUS_INF, TropicalMap
 
 
@@ -81,7 +81,7 @@ class SigmaAnalysis:
     """Per-cell contribution data inside a restricted decomposition."""
     cell: Cell
     contributing: bool
-    bending: frozenset = field(default_factory=frozenset)  # dual summand dim > 0
+    bending: frozenset = field(default_factory=frozenset)  # components bending
     bounds: dict = field(default_factory=dict)   # origin&bending -> sup or +inf
     image: Optional[Polyhedron] = None           # origin&non-bending block image
     image_coords: tuple = ()
@@ -183,8 +183,7 @@ def analyze_sigma(ctx: GammaContext, cell: Cell) -> SigmaAnalysis:
     face misses the origin; a single relative-interior test point decides
     this, and the stored argmax profile is exactly that test.
     """
-    bending = frozenset(
-        i for i, s in enumerate(cell.summands) if s.dim > 0)
+    bending = frozenset(i for i, fc in enumerate(cell.profile) if fc.bends)
     contributing = all(i in bending for i in ctx.free_members)
     analysis = SigmaAnalysis(cell, contributing, bending)
     if not contributing:
@@ -294,28 +293,27 @@ def _assemble_staircase(ctx: GammaContext, analysis: SigmaAnalysis) -> Polyhedro
 # ---------------------------------------------------------------------------
 
 def tnp_set(F: TropicalMap, *, staircase: bool = True,
-            tuple_data: Optional[PolytopeTuple] = None,
-            faces: Optional[Sequence[TupleFace]] = None) -> TNPSet:
+            contexts: Optional[Sequence[GammaContext]] = None) -> TNPSet:
     """Union of the contributions over all dicritical pre-origin tuple-faces.
 
     The coupled staircase assembly is the default; pass staircase=False for
     the per-coordinate product closure (useful for cross-checking, but it
     can exceed the true set when suprema are not simultaneously attained).
+    Callers that already hold the analyze_gamma contexts of the tuple-faces
+    pass them as `contexts`, so that no face is analysed twice.
     """
-    if tuple_data is None:
-        tuple_data = delta0(F)
-    if faces is None:
-        faces = enumerate_tuple_faces(tuple_data)
-    relevant = [f for f in faces if f.dicritical and f.pre_origin]
+    if contexts is None:
+        contexts = [analyze_gamma(F, f) for f in enumerate_tuple_faces(delta0(F))
+                    if f.dicritical and f.pre_origin]
+    relevant = [c for c in contexts if c.face.dicritical and c.face.pre_origin]
 
-    def work(face):
-        ctx = analyze_gamma(F, face)
+    def work(ctx):
         out = []
         for cell in ctx.complex:
             analysis = analyze_sigma(ctx, cell)
             piece = cell_contribution(ctx, analysis, staircase=staircase)
             if not piece.is_empty:
-                out.append(TNPPiece(piece, face.id, cell.id))
+                out.append(TNPPiece(piece, ctx.face.id, cell.id))
         return out
 
     pieces = [p for chunk in parallel_map(work, relevant) for p in chunk]

@@ -38,8 +38,6 @@ def in_tnp(F: TropicalMap, y) -> OracleVerdict:
         raise ValueError("point dimension mismatch")
     cx = decomposition(F.term_maps(), y, n=F.n, bend_only=True)
     for cell in cx.cells:
-        if any(s.dim < 1 for s in cell.summands):
-            continue  # not inside every virtual preimage
         rec = cell.recession_cone()
         witness = rec.positive_coordinate_witness()
         if witness is not None:

@@ -2,10 +2,12 @@
 
 Each factor (a max-affine family, optionally extended by a virtual level as
 a pseudo-term at the origin) partitions R^n into argmax regions; the
-decomposition is the common refinement.  Every cell carries its dual data:
-per-factor argmax sets, their convex hulls (the Minkowski summands), and the
-dual polytope, realizing the inclusion-reversing duality with the mixed
-subdivision of the Minkowski sum of the extended Newton polytopes.
+decomposition is the common refinement.  Every cell keeps its argmax
+profile, one FactorCell per factor; bending and transversality are ranks of
+its dual points.  The dual data, the points' convex hulls (the Minkowski
+summands) and the dual polytope, realize the inclusion-reversing duality
+with the mixed subdivision of the Minkowski sum of the extended Newton
+polytopes; they are built on first read.
 
 Factor regions are enumerated through the lifted hull: occurring argmax sets
 correspond to the faces of conv{(a, coeff_a)} in R^(n+1) whose normal cone
@@ -16,17 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Mapping, Optional, Sequence
 
 from .geom import (HBuilder, Polyhedron, _homog_ineq, convex_hull, frac_vec,
-                   vdot, vsub)
+                   matrix_rank, vdot, vsub)
 from .tropical import MINUS_INF, ExtRat, is_minus_inf
 
 
 @dataclass(frozen=True)
 class FactorCell:
-    """One argmax region of a single factor: closed cell plus dual data."""
+    """One argmax region of a single factor: closed cell plus dual points."""
     argmax: frozenset          # exponent tuples attaining the maximum
     has_level: bool            # the virtual level ties the maximum
     eq_h: tuple                # homogenized equality constraints
@@ -48,7 +50,12 @@ def _entries(n, terms, level):
     return entries
 
 
-@lru_cache(maxsize=None)
+#: Several n = 3 maps' working sets (about 250 keys each); the oracle keys
+#: the cache on levels that change from point to point.
+FACTOR_CELL_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=FACTOR_CELL_CACHE_SIZE)
 def _factor_cells(n: int, terms: tuple, level) -> tuple:
     """All argmax regions of max over terms (+ level), as FactorCells."""
     entries = _entries(n, dict(terms), level)
@@ -122,31 +129,60 @@ def _argmax_at(terms: Mapping, level, x):
 # ---------------------------------------------------------------------------
 
 class Cell:
-    """A (relatively open) cell, stored by its closure, with dual data."""
+    """A (relatively open) cell, stored by its closure, with its argmax
+    profile: one FactorCell per factor.  The summands and the dual polytope
+    are built on first read."""
 
-    __slots__ = ("id", "closure", "dim", "argmax", "level_flags", "summands",
-                 "dual", "_rec")
+    __slots__ = ("id", "closure", "dim", "profile", "argmax", "level_flags",
+                 "_summands", "_dual", "_rec")
 
-    def __init__(self, cid, closure, argmax, level_flags, summands, dual):
+    def __init__(self, cid, closure, profile):
         self.id = cid
         self.closure = closure
         self.dim = closure.dim
-        self.argmax = argmax            # tuple of frozensets, one per factor
-        self.level_flags = level_flags  # tuple of bools, level in argmax
-        self.summands = summands        # tuple of Polyhedron (dual summands)
-        self.dual = dual                # Minkowski sum of the summands
-        self._rec = None
+        self.profile = profile
+        self.argmax = tuple(fc.argmax for fc in profile)
+        self.level_flags = tuple(fc.has_level for fc in profile)
+        self._summands = self._dual = self._rec = None
+
+    @property
+    def summands(self):
+        """Per factor, the convex hull of the dual points."""
+        if self._summands is None:
+            origin = (0,) * self.closure.n
+            self._summands = tuple(convex_hull(fc.dual_points or (origin,))
+                                   for fc in self.profile)
+        return self._summands
+
+    @property
+    def dual(self):
+        """The Minkowski sum of the summands."""
+        if self._dual is None:
+            self._dual = reduce(Polyhedron.minkowski_sum,
+                                self.summands).dual_description()
+        return self._dual
 
     def recession_cone(self):
         if self._rec is None:
             self._rec = self.closure.recession_cone()
         return self._rec
 
+    def _differences(self):
+        """Per factor, the dual points' differences to the first one."""
+        return [[vsub(p, fc.dual_points[0]) for p in fc.dual_points[1:]]
+                for fc in self.profile]
+
     def summand_dims(self):
-        return tuple(s.dim for s in self.summands)
+        return tuple(matrix_rank(d) for d in self._differences())
+
+    def is_transversal(self):
+        """dim dual == sum of the summand dims, as ranks of the differences."""
+        diffs = self._differences()
+        return matrix_rank([r for d in diffs for r in d]) \
+            == sum(matrix_rank(d) for d in diffs)
 
     def __repr__(self):
-        return f"Cell(id={self.id}, dim={self.dim}, dual_dim={self.dual.dim})"
+        return f"Cell(id={self.id}, dim={self.dim})"
 
 
 class CellComplex:
@@ -156,11 +192,11 @@ class CellComplex:
     bends (the virtual preimage of the level vector), not a full partition.
     """
 
-    def __init__(self, n, levels, cells, factor_polytopes, bend_only=False):
+    def __init__(self, n, term_maps, levels, cells, bend_only=False):
         self.n = n
+        self.term_maps = tuple(term_maps)
         self.levels = tuple(levels)
         self.cells = tuple(cells)
-        self.factor_polytopes = tuple(factor_polytopes)
         self.bend_only = bend_only
         self._sum = None
 
@@ -172,17 +208,19 @@ class CellComplex:
 
     @property
     def sum_polytope(self) -> Polyhedron:
+        """Minkowski sum of the factors' extended Newton polytopes."""
         if self._sum is None:
-            acc = self.factor_polytopes[0]
-            for p in self.factor_polytopes[1:]:
-                acc = acc.minkowski_sum(p)
-            self._sum = acc.dual_description()
+            origin = (0,) * self.n
+            hulls = [convex_hull(list(terms) if terms and is_minus_inf(level)
+                                 else [*terms, origin])
+                     for terms, level in zip(self.term_maps, self.levels)]
+            self._sum = reduce(Polyhedron.minkowski_sum,
+                               hulls).dual_description()
         return self._sum
 
     def is_transversal(self):
         """(all cells transversal, ids of offending cells)."""
-        offenders = [c.id for c in self.cells
-                     if c.dual.dim != sum(c.summand_dims())]
+        offenders = [c.id for c in self.cells if not c.is_transversal()]
         return (not offenders, offenders)
 
     def cell_containing(self, x):
@@ -192,7 +230,7 @@ class CellComplex:
             if not cell.closure.contains(x):
                 continue
             ok = True
-            for terms, level, S, has in zip(self._term_maps, self.levels,
+            for terms, level, S, has in zip(self.term_maps, self.levels,
                                             cell.argmax, cell.level_flags):
                 am, hl = _argmax_at(terms, level, x)
                 if am != S or hl != has:
@@ -209,20 +247,12 @@ class CellComplex:
         return counts
 
 
-@dataclass(frozen=True)
-class DualCell:
-    dual: Polyhedron
-    summands: tuple
-    cell_id: int
-
-
 class MixedSubdivision:
     """The dual subdivision of the Minkowski sum, aligned with the complex."""
 
     def __init__(self, complex_: CellComplex):
         self.complex = complex_
-        self.entries = tuple(
-            DualCell(c.dual, c.summands, c.id) for c in complex_.cells)
+        self.entries = complex_.cells
 
     def maximal(self):
         top = self.complex.sum_polytope.dim
@@ -281,31 +311,9 @@ def decomposition(term_maps: Sequence[Mapping], levels: Optional[Sequence[ExtRat
     search(0, HBuilder(n), ())
 
     found.sort(key=lambda t: (t[1].dim, t[1].canonical_key()))
-    origin = tuple([Fraction(0)] * n)
-    cells = []
-    for cid, (profile, poly) in enumerate(found):
-        summands = []
-        for fc in profile:
-            pts = fc.dual_points if fc.dual_points else (origin,)
-            summands.append(convex_hull(pts))
-        dual = summands[0]
-        for s in summands[1:]:
-            dual = dual.minkowski_sum(s)
-        cells.append(Cell(cid, poly,
-                          tuple(fc.argmax for fc in profile),
-                          tuple(fc.has_level for fc in profile),
-                          tuple(summands), dual.dual_description()))
-
-    polytopes = []
-    for terms, level in zip(term_maps, levels):
-        pts = list(terms)
-        if not is_minus_inf(level) or not pts:
-            pts = pts + [tuple([0] * n)]
-        polytopes.append(convex_hull(pts))
-
-    cx = CellComplex(n, levels, cells, polytopes, bend_only=bend_only)
-    cx._term_maps = list(term_maps)
-    return cx
+    cells = [Cell(cid, poly, profile)
+             for cid, (profile, poly) in enumerate(found)]
+    return CellComplex(n, term_maps, levels, cells, bend_only=bend_only)
 
 
 def corner_locus_pieces(terms: Mapping, n: int) -> list:

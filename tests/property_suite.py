@@ -3,7 +3,8 @@ suites.
 
 For each random plane map it checks, with everything exact:
   * the cell/dual duality invariants on the full decomposition and on every
-    face-restricted decomposition,
+    face-restricted decomposition, and that the rank-derived summand
+    dimensions and transversality of every cell match the hull definitions,
   * the dimension bound on every emitted piece,
   * that non-pre-origin faces contribute nothing,
   * the cell-count bijection between the full complex and each restricted
@@ -106,6 +107,15 @@ def _difference_probe(product_piece, staircase_piece):
     return None
 
 
+def _check_rank_dims(cx):
+    """Summand dimensions and transversality, read off the ranks of the dual
+    points, agree with the hull definitions on every cell."""
+    for c in cx.cells:
+        hull_dims = tuple(s.dim for s in c.summands)
+        assert c.summand_dims() == hull_dims, (c, hull_dims)
+        assert c.is_transversal() == (c.dual.dim == sum(hull_dims)), c
+
+
 def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     report = MapReport(index)
     n = m.n
@@ -113,6 +123,7 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     xi = decomposition(m.term_maps(), [MINUS_INF] * n, n=n)
     if duality_violations(xi):
         report.duality_ok = False
+    _check_rank_dims(xi)
     transversal = xi.is_transversal()[0]
 
     tup = delta0(m)
@@ -124,6 +135,7 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     for face, ctx in zip(faces, contexts):
         if duality_violations(ctx.complex):
             report.duality_ok = False
+        _check_rank_dims(ctx.complex)
         if not ctx.complex.is_transversal()[0]:
             transversal = False
 

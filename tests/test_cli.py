@@ -11,6 +11,11 @@ from conftest import fixture_path
 
 F = Fraction
 
+#: a planar map whose non-properness set is empty
+EMPTY_SET_MAP = {"n": 2, "maps": [
+    [{"exp": [1, 0], "val": "0"}, {"exp": [0, 1], "val": "0"}],
+    [{"exp": [1, 1], "val": "0"}, {"exp": [2, 1], "val": "3"}]]}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -36,6 +41,35 @@ class TestInputParsing:
         doc = {"n": 1, "maps": [[{"exp": [1], "val": 0.5}]]}
         with pytest.raises(Exception):
             parse_input_spec(doc)
+
+
+GOOD_TERM = {"exp": [0, 1], "val": "0"}
+
+
+def _doc(first_component, n=2):
+    return {"n": n, "maps": [first_component, [GOOD_TERM]]}
+
+
+@pytest.mark.parametrize("doc, extra", [
+    (_doc([GOOD_TERM, 7]), []),
+    (_doc([{"exp": [1, "x"], "val": "0"}]), []),
+    (_doc([{"exp": [1, 0], "series": "0t^2"}]), []),
+    (_doc([{"exp": [1, 0], "val": "1/0"}]), []),
+    (_doc([GOOD_TERM], n=2.5), []),
+    (None, ["--point=1,x"]),
+    (None, ["--point=1,2,3"]),
+], ids=["term-not-an-object", "non-integer-exponent", "zero-series",
+        "zero-denominator", "non-integer-n", "non-rational-point",
+        "point-of-wrong-dimension"])
+def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, doc, extra):
+    if doc is None:
+        cmd, path = "oracle", fixture_path("map2d.json")
+    else:
+        cmd, path = "compute", tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, cmd, "--input", str(path), *extra)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestComputeCommand:
@@ -121,6 +155,20 @@ class TestOracleCommand:
         assert doc["verdict"]["member"] is True
         assert doc["verdict"]["ray"] == [1, -2]
 
+    def test_grid_against_a_document_without_pieces(self, tmp_path, capsys):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(EMPTY_SET_MAP))
+        out = tmp_path / "c.json"
+        code, _, _ = run(capsys, "compute", "--input", str(f), "--output", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["tnp"]["pieces"] == []
+        code, text, err = run(capsys, "oracle", "--input", str(f), "--grid",
+                              "--res", "3", "--against", str(out))
+        assert code == 0, err
+        grid = json.loads(text)["grid"]
+        assert grid["points"] == 9
+        assert grid["members"] == 0 and grid["mismatches"] == []
+
     def test_grid_against_compute_output(self, tmp_path, capsys):
         out = tmp_path / "c.json"
         run(capsys, "compute", "--input", fixture_path("map2d.json"),
@@ -194,11 +242,8 @@ class TestPlotCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_set_keeps_only_the_gray_skeleton(self, tmp_path, capsys):
-        doc = {"n": 2, "maps": [
-            [{"exp": [1, 0], "val": "0"}, {"exp": [0, 1], "val": "0"}],
-            [{"exp": [1, 1], "val": "0"}, {"exp": [2, 1], "val": "3"}]]}
         f = tmp_path / "m.json"
-        f.write_text(json.dumps(doc))
+        f.write_text(json.dumps(EMPTY_SET_MAP))
         svg = tmp_path / "e.svg"
         code, _, _ = run(capsys, "plot", "--input", str(f), "--svg", str(svg))
         assert code == 0
