@@ -201,13 +201,35 @@ def dump_doc(doc: dict, path=None) -> str:
 
 
 def parse_output_doc(text: str) -> dict:
-    """Round-trip parse: pieces come back as Polyhedron values."""
+    """Round-trip parse of a compute output: the document with its pieces
+    as Polyhedron values under "tnp_pieces"."""
     doc = json.loads(text)
-    n = doc["n"]
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
+        raise InputError(f'not a {SCHEMA} document (no "schema": "{SCHEMA}")')
+    n = doc.get("n")
+    if not _is_int(n) or n < 1:
+        raise InputError("no positive integer 'n'")
+    tnp = doc.get("tnp")
+    if not isinstance(tnp, dict) or not isinstance(tnp.get("pieces"), list):
+        raise InputError("no 'tnp' piece list (not a compute output)")
     parsed = dict(doc)
-    if "tnp" in doc:
-        parsed["tnp_pieces"] = [poly_from_json(p, n) for p in doc["tnp"]["pieces"]]
+    parsed["tnp_pieces"] = []
+    for i, piece in enumerate(tnp["pieces"]):
+        try:
+            parsed["tnp_pieces"].append(poly_from_json(piece, n))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"piece {i} is malformed: {exc!r}") from exc
     return parsed
+
+
+def load_output_doc(path: str) -> dict:
+    """parse_output_doc of a file; errors name the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse_output_doc(text)
+    except (InputError, json.JSONDecodeError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +295,10 @@ def cmd_oracle(args) -> int:
             "cell": verdict.cell_id,
         }
     elif args.grid:
+        if args.res < 1:
+            raise InputError(f"--res must be at least 1, got {args.res}")
         if args.against:
-            with open(args.against, "r", encoding="utf-8") as fh:
-                parsed = parse_output_doc(fh.read())
+            parsed = load_output_doc(args.against)
             if parsed["n"] != F.n:
                 raise InputError(f"--against document has n = {parsed['n']}, "
                                  f"the input has n = {F.n}")
@@ -351,8 +374,7 @@ def cmd_faces(args) -> int:
 
 def cmd_newton(args) -> int:
     if args.tnp:
-        with open(args.tnp, "r", encoding="utf-8") as fh:
-            parsed = parse_output_doc(fh.read())
+        parsed = load_output_doc(args.tnp)
         source = _EngineView(parsed["n"], parsed["tnp_pieces"])
     else:
         F, _ = load_input(args.input)

@@ -27,8 +27,6 @@ difference between the two against the oracle.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -44,23 +42,13 @@ class GenericityError(RuntimeError):
     face-generic enough for the polyhedral recipe."""
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("TNP_THREADS", "")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    return k if k > 0 else (os.cpu_count() or 1)
-
-
 def parallel_map(fn, items):
-    """Order-preserving map, threaded when TNP_THREADS allows it."""
-    items = list(items)
-    workers = min(_worker_count(), len(items)) if items else 0
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Ordered map of fn over items, run serially: one item per tuple-face
+    in `tnp_set`, one per grid point in `grid_compare`.  The work is
+    pure-Python arithmetic, which threads under the interpreter lock only
+    slow down; the function stays as the one place an external tracer
+    (perfbench/tracer.py) wraps to time each item."""
+    return [fn(x) for x in items]
 
 
 @dataclass

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import and_, mul
 from typing import Iterable, Optional, Sequence
 
 #: Default cap on the ambient dimension; double description is exponential
@@ -164,23 +166,23 @@ class _DD:
         prev_full = bit - 1
         self.ncons += 1
 
-        dot = lambda u, v: sum(x * y for x, y in zip(u, v))
-
         # Pivot on the lineality space if it is not contained in {a . y = 0}.
-        piv = next((i for i, l in enumerate(self.lin) if dot(a, l) != 0), None)
+        piv = next((i for i, l in enumerate(self.lin) if sum(map(mul, a, l))), None)
         if piv is not None:
             l0 = self.lin.pop(piv)
-            d0 = dot(a, l0)
+            d0 = sum(map(mul, a, l0))
             if d0 < 0:
                 l0 = tuple(-x for x in l0)
                 d0 = -d0
-            self.lin = [
-                _ireduce(tuple(d0 * x - dot(a, l) * y for x, y in zip(l, l0)))
-                for l in self.lin
-            ]
+
+            def project(v):
+                dv = sum(map(mul, a, v))
+                return _ireduce(tuple(d0 * x - dv * y for x, y in zip(v, l0)))
+
+            self.lin = [project(l) for l in self.lin]
             new_rays, new_masks = [], []
             for r, m in zip(self.rays, self.masks):
-                r2 = _ireduce(tuple(d0 * x - dot(a, r) * y for x, y in zip(r, l0)))
+                r2 = project(r)
                 if any(r2):
                     new_rays.append(r2)
                     new_masks.append(m | bit)
@@ -195,7 +197,7 @@ class _DD:
     # Lineality already inside the hyperplane: classify rays.
         pos, zero, neg = [], [], []
         for i, r in enumerate(self.rays):
-            d = dot(a, r)
+            d = sum(map(mul, a, r))
             if d > 0:
                 pos.append((i, d))
             elif d == 0:
@@ -299,6 +301,20 @@ class HBuilder:
     @property
     def is_empty(self) -> bool:
         return not any(r[0] > 0 for r in self._dd.rays)
+
+    @property
+    def ncons(self) -> int:
+        """Constraints added so far, x0 >= 0 included; the k-th owns bit k."""
+        return self._dd.ncons
+
+    @property
+    def tight_mask(self) -> int:
+        """Bits of the constraints tight on the whole (nonempty) polyhedron.
+
+        Lineality lies in every constraint's hyperplane, so these are the
+        constraints active on every extreme ray, x0 = 0 rays included.
+        """
+        return reduce(and_, self._dd.masks)
 
     def to_polyhedron(self) -> "Polyhedron":
         return Polyhedron._from_homog_generators(self.n, self._dd.lin, self._dd.rays)

@@ -9,19 +9,25 @@ summands) and the dual polytope, realize the inclusion-reversing duality
 with the mixed subdivision of the Minkowski sum of the extended Newton
 polytopes; they are built on first read.
 
-Factor regions are enumerated through the lifted hull: occurring argmax sets
-correspond to the faces of conv{(a, coeff_a)} in R^(n+1) whose normal cone
-meets {last coordinate > 0}.
+Factor regions are enumerated through the lifted hull conv{(a, coeff_a)} in
+R^(n+1): an argmax set is the set of entries on a face exposed by some
+(x, 1), so the occurring sets are the ANDs of facet-incidence bitmasks (over
+all lifted entries) that include an upper facet, one whose normal has a
+positive last coordinate.  The refinement search prunes a partial profile
+as soon as one of its non-member inequalities is tight on the whole partial
+cell: every point below it would tie that entry and so belongs to a finer
+profile.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Mapping, Optional, Sequence
 
-from .geom import (HBuilder, Polyhedron, _homog_ineq, convex_hull, frac_vec,
+from .geom import (HBuilder, Polyhedron, _ireduce, convex_hull, frac_vec,
                    matrix_rank, vdot, vsub)
 from .tropical import MINUS_INF, ExtRat, is_minus_inf
 
@@ -67,41 +73,47 @@ def _factor_cells(n: int, terms: tuple, level) -> tuple:
                            is_level, (), (), (exp,)),)
 
     lifted = [exp + (coeff,) for exp, coeff, _ in entries]
-    hull = Polyhedron.from_generators(n + 1, lifted).dual_description()
-    ineqs, eqs = hull.hrep()
-    eq_has_last = any(a[-1] != 0 for a, _ in eqs)
+    ineqs, eqs = Polyhedron.from_generators(n + 1, lifted).hrep()
+    facet_masks = [sum(1 << k for k, p in enumerate(lifted) if vdot(a, p) == b)
+                   for a, b in ineqs]
+    # An argmax set is the entry set of a face of the lifted hull exposed by
+    # some (x, 1): an AND of facet masks with an upper facet among them, or
+    # any face at all (the hull itself too) when an equality involves the
+    # last coordinate.
+    full = (1 << len(entries)) - 1
+    if any(a[-1] != 0 for a, _ in eqs):
+        found = {full}
+    else:
+        found = {m for m, (a, _) in zip(facet_masks, ineqs) if a[-1] > 0}
+    frontier = found
+    while frontier:
+        frontier = {s & m for s in frontier for m in facet_masks} - found - {0}
+        found |= frontier
 
-    faces = list(hull.proper_faces_with_active())
-    faces.append((hull, tuple()))
+    pair_h = {}
+
+    def constraint(i, j):
+        """base entry i ties or beats entry j: (c_i - c_j) + (e_i - e_j) . x >= 0."""
+        h = pair_h.get((i, j))
+        if h is None:
+            (ei, ci, _), (ej, cj, _) = entries[i], entries[j]
+            d = ci - cj
+            den = d.denominator
+            h = pair_h[i, j] = _ireduce(
+                (d.numerator,) + tuple(den * (a - b) for a, b in zip(ei, ej)))
+        return h
+
     cells = []
-    seen = set()
-    for face, active in faces:
-        if not (eq_has_last or any(ineqs[i][0][-1] > 0 for i in active)):
-            continue  # no exposing direction (x, 1): argmax set never occurs
-        members = []
-        for idx, (exp, coeff, _) in enumerate(entries):
-            p = lifted[idx]
-            if all(vdot(ineqs[i][0], p) == ineqs[i][1] for i in active):
-                members.append(idx)
-        key = frozenset(members)
-        if key in seen:
-            continue
-        seen.add(key)
-        base_exp, base_coeff, _ = entries[members[0]]
-        eq_h, in_h = [], []
-        member_set = set(members)
-        for idx, (exp, coeff, _) in enumerate(entries):
-            if idx == members[0]:
-                continue
-            normal = vsub(frac_vec(exp), frac_vec(base_exp))
-            offset = base_coeff - coeff
-            h = _homog_ineq(normal, offset)
-            (eq_h if idx in member_set else in_h).append(h)
-        argmax = frozenset(entries[i][0] for i in members if not entries[i][2])
-        has_level = any(entries[i][2] for i in members)
-        dual_points = tuple(sorted(entries[i][0] for i in members))
-        cells.append(FactorCell(argmax, has_level, tuple(eq_h), tuple(in_h),
-                                dual_points))
+    for mask in found:
+        members = [k for k in range(len(entries)) if mask >> k & 1]
+        base = members[0]
+        eq_h = tuple(constraint(base, k) for k in members[1:])
+        in_h = tuple(constraint(base, k) for k in range(len(entries))
+                     if not mask >> k & 1)
+        argmax = frozenset(entries[k][0] for k in members if not entries[k][2])
+        has_level = any(entries[k][2] for k in members)
+        dual_points = tuple(sorted(entries[k][0] for k in members))
+        cells.append(FactorCell(argmax, has_level, eq_h, in_h, dual_points))
     cells.sort(key=lambda c: (len(c.dual_points), c.dual_points))
     return tuple(cells)
 
@@ -284,17 +296,13 @@ def decomposition(term_maps: Sequence[Mapping], levels: Optional[Sequence[ExtRat
 
     found = []
 
-    def search(i, builder, profile):
+    def search(i, builder, profile, in_bits):
+        # in_bits: the builder's bits of every in_h inequality added so far.
+        # One of them tight on the whole node polyhedron stays tight on every
+        # nonempty leaf below it, so a relative-interior point there would
+        # tie a non-member entry: the points belong to a finer profile.
         if i == len(factor_lists):
-            poly = builder.to_polyhedron()
-            if poly.is_empty:
-                return
-            p = poly.relative_interior_point()
-            for terms, level, fc in zip(term_maps, levels, profile):
-                am, hl = _argmax_at(terms, level, p)
-                if am != fc.argmax or hl != fc.has_level:
-                    return  # point sits in a finer cell; that profile owns it
-            found.append((profile, poly))
+            found.append((profile, builder.to_polyhedron()))
             return
         for fc in factor_lists[i]:
             b = builder.clone()
@@ -302,13 +310,17 @@ def decomposition(term_maps: Sequence[Mapping], levels: Optional[Sequence[ExtRat
                 b.add_homog(h, equality=True)
             if b.is_empty:
                 continue
+            first = b.ncons
             for h in fc.in_h:
                 b.add_homog(h)
             if b.is_empty:
                 continue
-            search(i + 1, b, profile + (fc,))
+            bits = in_bits | ((1 << b.ncons) - (1 << first))
+            if b.tight_mask & bits:
+                continue
+            search(i + 1, b, profile + (fc,), bits)
 
-    search(0, HBuilder(n), ())
+    search(0, HBuilder(n), (), 0)
 
     found.sort(key=lambda t: (t[1].dim, t[1].canonical_key()))
     cells = [Cell(cid, poly, profile)
@@ -345,7 +357,8 @@ def regular_subdivision(support: Sequence, lift: Mapping) -> MixedSubdivision:
 def duality_violations(cx: CellComplex) -> list:
     """Violations of the cell/dual-polytope duality on a complex.
 
-    Checks, cell by cell: the dual is the Minkowski sum of the summands; the
+    Checks, cell by cell: the dual (the Minkowski sum of the summands' hulls)
+    equals the convex hull of all sums taking one dual point per factor; the
     cell and dual dimensions are complementary; their affine spans are
     orthogonal; and the dual lies on a proper facet of the Minkowski-sum
     polytope exactly when the cell recedes along that facet's outward normal.
@@ -354,12 +367,13 @@ def duality_violations(cx: CellComplex) -> list:
     sum_poly = cx.sum_polytope
     ineqs, _ = sum_poly.hrep()
     facets = [(normal, sum_poly.face_in_direction(normal)) for normal, _ in ineqs]
+    origin = (0,) * cx.n
     for cell in cx.cells:
-        recomposed = cell.summands[0]
-        for s in cell.summands[1:]:
-            recomposed = recomposed.minkowski_sum(s)
-        if not recomposed.equal_as_sets(cell.dual):
-            problems.append((cell.id, "dual is not the sum of its summands"))
+        choices = [fc.dual_points or (origin,) for fc in cell.profile]
+        sums = [tuple(map(sum, zip(origin, *pick)))
+                for pick in itertools.product(*choices)]
+        if not convex_hull(sums).equal_as_sets(cell.dual):
+            problems.append((cell.id, "dual is not the hull of the dual point sums"))
         if cell.dim + cell.dual.dim != cx.n:
             problems.append((cell.id, "dim cell + dim dual != n"))
         cell_dirs = _direction_span(cell.closure)

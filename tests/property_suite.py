@@ -5,6 +5,8 @@ For each random plane map it checks, with everything exact:
   * the cell/dual duality invariants on the full decomposition and on every
     face-restricted decomposition, and that the rank-derived summand
     dimensions and transversality of every cell match the hull definitions,
+  * that every cell of every full, restricted and bend_only complex carries
+    the argmax profile found at a relative-interior point of its closure,
   * the dimension bound on every emitted piece,
   * that non-pre-origin faces contribute nothing,
   * the cell-count bijection between the full complex and each restricted
@@ -23,7 +25,7 @@ from tropnp.engine import (GenericityError, TNPPiece, TNPSet, analyze_gamma,
                            analyze_sigma, cell_contribution)
 from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.oracle import grid_compare, in_tnp
-from tropnp.subdivision import decomposition, duality_violations
+from tropnp.subdivision import _argmax_at, decomposition, duality_violations
 from tropnp.tropical import MINUS_INF, TropicalMap, TropicalPolynomial
 
 F = Fraction
@@ -116,6 +118,17 @@ def _check_rank_dims(cx):
         assert c.is_transversal() == (c.dual.dim == sum(hull_dims)), c
 
 
+def _check_profiles(cx):
+    """Each cell's stored profile is the argmax profile at a relative-interior
+    point of its closure: the leaf test that the decomposition search
+    replaces by pruning on tight inequalities."""
+    for c in cx.cells:
+        p = c.closure.relative_interior_point()
+        for terms, level, fc in zip(cx.term_maps, cx.levels, c.profile):
+            assert _argmax_at(terms, level, p) == (fc.argmax, fc.has_level), \
+                (c, fc)
+
+
 def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     report = MapReport(index)
     n = m.n
@@ -124,6 +137,7 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     if duality_violations(xi):
         report.duality_ok = False
     _check_rank_dims(xi)
+    _check_profiles(xi)
     transversal = xi.is_transversal()[0]
 
     tup = delta0(m)
@@ -136,6 +150,7 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
         if duality_violations(ctx.complex):
             report.duality_ok = False
         _check_rank_dims(ctx.complex)
+        _check_profiles(ctx.complex)
         if not ctx.complex.is_transversal()[0]:
             transversal = False
 
@@ -179,6 +194,11 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
 
     product_set = TNPSet(n, product_pieces, "product")
     staircase_set = TNPSet(n, staircase_pieces, "staircase")
+    # the oracle's complexes: the virtual preimages of points of the set
+    for piece in staircase_set.polytopes:
+        y = piece.relative_interior_point()
+        _check_profiles(decomposition(m.term_maps(), list(y), n=n,
+                                      bend_only=True))
     for face_id, cell_id, probe in diff_probes:
         verdict = in_tnp(m, probe)
         report.disagreements.append(Disagreement(

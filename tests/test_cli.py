@@ -72,6 +72,37 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, doc, extra):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+MAP2D = fixture_path("map2d.json")
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["newton", "--tnp", MAP2D], [MAP2D, "schema"]),
+    (["oracle", "--input", MAP2D, "--grid", "--against", MAP2D],
+     [MAP2D, "schema"]),
+    (["oracle", "--input", MAP2D, "--grid", "--res=0"], ["--res"]),
+    (["oracle", "--input", MAP2D, "--grid", "--res=-3", "--box=0,1"],
+     ["--res"]),
+], ids=["newton-tnp-on-an-input", "against-an-input", "res-zero",
+        "res-negative"])
+def test_refused_arguments_exit_1_with_one_line(capsys, argv, names):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(name in err for name in names), err
+
+
+def test_output_document_without_pieces_is_refused(tmp_path, capsys):
+    for doc, missing in [({"schema": "tnp/1", "n": 2}, "'tnp'"),
+                         ({"schema": "tnp/1", "n": 2, "tnp": {"pieces": [
+                             {"vertices": [["x", "1"]], "rays": [],
+                              "lineality": []}]}}, "piece 0")]:
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "newton", "--tnp", str(f))
+        assert code == 1
+        assert err.count("\n") == 1 and str(f) in err and missing in err, err
+
+
 class TestComputeCommand:
     def test_output_document(self, tmp_path, capsys, map2d, map2d_target_terms):
         out = tmp_path / "out.json"

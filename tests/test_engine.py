@@ -206,15 +206,27 @@ class TestDegenerateSupports:
         assert rep.ok
 
 
-class TestConcurrencyEnv:
-    def test_thread_cap_does_not_change_results(self, map2d, monkeypatch):
-        base = [p.canonical_key() for p in tnp_set(map2d).polytopes]
-        monkeypatch.setenv("TNP_THREADS", "3")
-        threaded = [p.canonical_key() for p in tnp_set(map2d).polytopes]
-        assert threaded == base
-        monkeypatch.setenv("TNP_THREADS", "1")
-        serial = [p.canonical_key() for p in tnp_set(map2d).polytopes]
-        assert serial == base
+class TestDeterminism:
+    def test_repeated_runs_are_identical(self, map2d, map3d, tmp_path, capsys):
+        """Two runs, each from a cold factor-cell cache, give the same
+        canonical pieces and byte-identical compute output (on map3d, the
+        same transversality refusal)."""
+        from tropnp.cli import main
+        from tropnp.subdivision import _factor_cells
+        from conftest import fixture_path
+        for m, name, expected_code in ((map2d, "map2d.json", 0),
+                                       (map3d, "map3d.json", 2)):
+            runs = []
+            for k in range(2):
+                _factor_cells.cache_clear()
+                keys = [p.canonical_key() for p in tnp_set(m).polytopes]
+                out = tmp_path / f"{k}-{name}"
+                code = main(["compute", "--input", fixture_path(name),
+                             "--output", str(out)])
+                doc = out.read_bytes() if out.exists() else None
+                runs.append((keys, code, doc, capsys.readouterr()))
+            assert runs[0][0] and runs[0][1] == expected_code
+            assert runs[0] == runs[1]
 
 
 class TestAssemblies:

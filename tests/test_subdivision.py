@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from tropnp.geom import Cone, convex_hull
-from tropnp.subdivision import (MixedSubdivision, corner_locus_pieces,
-                                decomposition, duality_violations,
-                                factor_cells, regular_subdivision)
-from tropnp.tropical import MINUS_INF
+from tropnp.geom import Cone, Polyhedron, _homog_ineq, convex_hull, vdot, vsub
+from tropnp.subdivision import (FactorCell, MixedSubdivision,
+                                corner_locus_pieces, decomposition,
+                                duality_violations, factor_cells,
+                                regular_subdivision)
+from tropnp.tropical import MINUS_INF, is_minus_inf
 
 F = Fraction
 
@@ -182,3 +183,56 @@ class TestFactorCells:
         assert len(pieces) == 1
         assert pieces[0].dim == 1
         assert pieces[0].contains((3, 3)) and not pieces[0].contains((1, 2))
+
+
+def _face_lattice_factor_cells(n, terms, level):
+    """Reference construction of the factor cells (at least two entries):
+    the face lattice of the lifted hull, keeping each face exposed by some
+    (x, 1), with Fraction-built constraints."""
+    entries = [(exp, F(c), False) for exp, c in sorted(terms.items())]
+    if not is_minus_inf(level):
+        entries.append(((0,) * n, F(level), True))
+    lifted = [exp + (c,) for exp, c, _ in entries]
+    hull = Polyhedron.from_generators(n + 1, lifted)
+    ineqs, eqs = hull.hrep()
+    eq_has_last = any(a[-1] != 0 for a, _ in eqs)
+    cells = {}
+    for _, active in hull.proper_faces_with_active() + [(hull, ())]:
+        if not (eq_has_last or any(ineqs[i][0][-1] > 0 for i in active)):
+            continue
+        members = [k for k, p in enumerate(lifted)
+                   if all(vdot(ineqs[i][0], p) == ineqs[i][1] for i in active)]
+        base_exp, base_coeff, _ = entries[members[0]]
+        eq_h, in_h = [], []
+        for k, (exp, coeff, _) in enumerate(entries):
+            if k != members[0]:
+                h = _homog_ineq(vsub(exp, base_exp), base_coeff - coeff)
+                (eq_h if k in members else in_h).append(h)
+        cells[frozenset(members)] = FactorCell(
+            frozenset(entries[k][0] for k in members if not entries[k][2]),
+            any(entries[k][2] for k in members), tuple(eq_h), tuple(in_h),
+            tuple(sorted(entries[k][0] for k in members)))
+    return sorted(cells.values(),
+                  key=lambda c: (len(c.dual_points), c.dual_points))
+
+
+def test_factor_cells_match_the_face_lattice_construction():
+    rng = random.Random(4242)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(1, 3)
+        affine = rng.random() < 0.2      # a constant term at the origin
+        exps = {(0,) * n} if affine else set()
+        for _ in range(rng.randint(1, 7)):
+            e = tuple(rng.randint(0, 3) for _ in range(n))
+            if any(e):
+                exps.add(e)
+        terms = {e: F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+                 for e in exps}
+        level = MINUS_INF if affine or rng.random() < 0.4 \
+            else F(rng.randint(-9, 9), rng.choice([1, 2]))
+        if len(terms) + (not is_minus_inf(level)) < 2:
+            continue
+        assert list(factor_cells(n, terms, level)) \
+            == _face_lattice_factor_cells(n, terms, level), (n, terms, level)
+        checked += 1
