@@ -108,9 +108,13 @@ def parse_input_spec(doc: dict):
 
 
 def load_input(path: str):
+    """parse_input_spec of a file; errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return parse_input_spec(doc)
+        text = fh.read()
+    try:
+        return parse_input_spec(json.loads(text))
+    except (InputError, json.JSONDecodeError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +158,7 @@ def faces_json(faces) -> list:
         out.append({
             "id": f.id,
             "witness_normal": [int(x) for x in f.witness_normal],
-            "dim": f.sum_face.dim,
+            "dim": f.dim,
             "members": [poly_json(m) for m in f.members],
             "dicritical": f.dicritical,
             "origin": f.origin,

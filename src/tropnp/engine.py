@@ -151,17 +151,16 @@ class TNPSet:
 # ---------------------------------------------------------------------------
 
 def analyze_gamma(F: TropicalMap, face: TupleFace) -> GammaContext:
-    """Restrict the map to a tuple-face and decompose by the restrictions.
+    """Restrict the map to a tuple-face, keeping each component's terms in
+    the face's argmax set, and decompose by the restrictions.
 
     Components restricting to one or zero terms have an empty corner locus
     and contribute the trivial whole-space factor to the decomposition.
     """
-    restricted = []
-    for comp, member in zip(F.components, face.members):
-        r = comp.restrict(member)
-        restricted.append({} if r is None else r.terms)
+    restricted = tuple({a: c for a, c in comp.terms.items() if a in argmax}
+                       for comp, argmax in zip(F.components, face.argmax))
     cx = decomposition(restricted, [MINUS_INF] * F.n, n=F.n)
-    return GammaContext(face, tuple(restricted), cx, face.origin_members)
+    return GammaContext(face, restricted, cx, face.origin_members)
 
 
 def analyze_sigma(ctx: GammaContext, cell: Cell) -> SigmaAnalysis:

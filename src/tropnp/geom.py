@@ -660,8 +660,9 @@ class Polyhedron:
             return None
         if any(vdot(alpha, l) != 0 for l in self._lins):
             return None
-        m = max(vdot(alpha, p) for p in self._points)
-        points = [p for p in self._points if vdot(alpha, p) == m]
+        values = [vdot(alpha, p) for p in self._points]
+        m = max(values)
+        points = [p for p, v in zip(self._points, values) if v == m]
         rays = [r for r in self._rays if vdot(alpha, r) == 0]
         face = Polyhedron.from_generators(self.n, points, rays, self._lins)
         face._vreduced = True
@@ -763,13 +764,6 @@ class Polyhedron:
         faces.sort(key=lambda fa: (fa[0].dim, fa[0].canonical_key()))
         self._faces = faces
         return list(faces)
-
-    def normal_cone_of_face(self, active_facets: Sequence[int]) -> "Cone":
-        """Outer normal cone spanned by the active facet normals (+ equalities)."""
-        ineqs, eqs = self.hrep()
-        rays = [primitive(ineqs[i][0]) for i in active_facets]
-        lins = [primitive(a) for a, _ in eqs]
-        return Cone(self.n, rays, lins)
 
     # -- canonical identity ----------------------------------------------------
 

@@ -32,7 +32,7 @@ from .geom import (HBuilder, Polyhedron, _ireduce, convex_hull, frac_vec,
 from .tropical import MINUS_INF, ExtRat, is_minus_inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactorCell:
     """One argmax region of a single factor: closed cell plus dual points."""
     argmax: frozenset          # exponent tuples attaining the maximum
@@ -61,8 +61,7 @@ def _entries(n, terms, level):
 FACTOR_CELL_CACHE_SIZE = 2048
 
 
-@lru_cache(maxsize=FACTOR_CELL_CACHE_SIZE)
-def _factor_cells(n: int, terms: tuple, level) -> tuple:
+def _build_factor_cells(n: int, terms: tuple, level) -> tuple:
     """All argmax regions of max over terms (+ level), as FactorCells."""
     entries = _entries(n, dict(terms), level)
     if not entries:
@@ -116,6 +115,9 @@ def _factor_cells(n: int, terms: tuple, level) -> tuple:
         cells.append(FactorCell(argmax, has_level, eq_h, in_h, dual_points))
     cells.sort(key=lambda c: (len(c.dual_points), c.dual_points))
     return tuple(cells)
+
+
+_factor_cells = lru_cache(maxsize=FACTOR_CELL_CACHE_SIZE)(_build_factor_cells)
 
 
 def factor_cells(n: int, terms: Mapping, level: ExtRat = MINUS_INF):
@@ -294,6 +296,16 @@ def decomposition(term_maps: Sequence[Mapping], levels: Optional[Sequence[ExtRat
             cells = tuple(c for c in cells if c.bends)
         factor_lists.append(cells)
 
+    found = _refine(n, factor_lists)
+    found.sort(key=lambda t: (t[1].dim, t[1].canonical_key()))
+    cells = [Cell(cid, poly, profile)
+             for cid, (profile, poly) in enumerate(found)]
+    return CellComplex(n, term_maps, levels, cells, bend_only=bend_only)
+
+
+def _refine(n: int, factor_lists: Sequence[Sequence[FactorCell]]) -> list:
+    """(profile, closure) of every nonempty cell of the common refinement,
+    one FactorCell per factor list, in search order."""
     found = []
 
     def search(i, builder, profile, in_bits):
@@ -321,11 +333,7 @@ def decomposition(term_maps: Sequence[Mapping], levels: Optional[Sequence[ExtRat
             search(i + 1, b, profile + (fc,), bits)
 
     search(0, HBuilder(n), (), 0)
-
-    found.sort(key=lambda t: (t[1].dim, t[1].canonical_key()))
-    cells = [Cell(cid, poly, profile)
-             for cid, (profile, poly) in enumerate(found)]
-    return CellComplex(n, term_maps, levels, cells, bend_only=bend_only)
+    return found
 
 
 def corner_locus_pieces(terms: Mapping, n: int) -> list:

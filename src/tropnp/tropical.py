@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
-from .geom import Polyhedron, frac_vec, vdot
+from .geom import frac_vec, vdot
 
 #: Bottom element of the max-plus semifield.  float("-inf") compares
 #: correctly against every Fraction, which is all the engine needs.
@@ -103,21 +103,6 @@ class TropicalPolynomial:
         if level == value:
             return True
         return len(argmax) >= 2
-
-    # -- restriction to a face ------------------------------------------------
-
-    def restrict(self, face: Polyhedron) -> Optional["TropicalPolynomial"]:
-        """Keep the terms whose exponents lie in the given face.
-
-        Returns None (an empty restriction) when no support point lies in the
-        face, which happens exactly when the face is the origin vertex.
-        """
-        if face.n != self.n:
-            raise ValueError("face dimension mismatch")
-        kept = {exp: c for exp, c in self.terms.items() if face.contains(exp)}
-        if not kept:
-            return None
-        return TropicalPolynomial(self.n, kept)
 
     # -- misc -----------------------------------------------------------------
 

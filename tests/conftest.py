@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropnp.geom import Cone, primitive
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -10,6 +11,23 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def fixture_path(name):
     return os.path.join(FIXTURES, name)
+
+
+# ---------------------------------------------------------------------------
+# reference constructions that tests compare the program against
+# ---------------------------------------------------------------------------
+
+def normal_cone_of_face(poly, active_facets):
+    """Outer normal cone of a face of `poly`, spanned by the normals of the
+    facets through it plus the equality normals."""
+    ineqs, eqs = poly.hrep()
+    return Cone(poly.n, [primitive(ineqs[i][0]) for i in active_facets],
+                [primitive(a) for a, _ in eqs])
+
+
+def restrict(p, face):
+    """The terms of the tropical polynomial p whose exponents lie in face."""
+    return {exp: c for exp, c in p.terms.items() if face.contains(exp)}
 
 
 @pytest.fixture(scope="session")

@@ -72,6 +72,19 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, doc, extra):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("not json", "Expecting value"),
+    ("[1, 2]", "JSON object"),
+], ids=["not-json", "json-list"])
+def test_input_errors_name_the_file(tmp_path, capsys, text, reason):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "compute", "--input", str(path))
+    assert code == 1 and not out
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert reason in err, err
+
+
 MAP2D = fixture_path("map2d.json")
 
 

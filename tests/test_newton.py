@@ -8,6 +8,8 @@ from tropnp.geom import Polyhedron, convex_hull
 from tropnp.newton import FanError, recover_fan
 from tropnp.subdivision import corner_locus_pieces
 
+from conftest import normal_cone_of_face
+
 F = Fraction
 
 
@@ -27,8 +29,8 @@ def normal_fan_keys(points):
     hull = convex_hull(points).dual_description()
     keys = set()
     for _, active in hull.proper_faces_with_active():
-        keys.add(hull.normal_cone_of_face(active).canonical_key())
-    whole = hull.normal_cone_of_face([])
+        keys.add(normal_cone_of_face(hull, active).canonical_key())
+    whole = normal_cone_of_face(hull, [])
     if whole.dim > 0:
         keys.add(whole.canonical_key())
     return keys

@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from tropnp.engine import analyze_gamma
+from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.geom import convex_hull
 from tropnp.tropical import (MINUS_INF, SupportError, TropicalMap,
                              TropicalPolynomial, valuation_of_series)
+
+from conftest import restrict
 
 F = Fraction
 
@@ -71,29 +75,40 @@ class TestVirtualPreimage:
 
 
 class TestRestrict:
+    """The reference restriction (terms whose exponent lies in the face)
+    and the engine's, which keeps the terms in a tuple-face's argmax set."""
+
     def test_restrict_to_diagonal_edge(self, map2d_small):
         face = convex_hull([(0, 0), (1, 1), (2, 2)])
-        r = map2d_small[1].restrict(face)
-        assert r.terms == {(1, 1): 0, (2, 2): 0}
+        assert restrict(map2d_small[1], face) == {(1, 1): 0, (2, 2): 0}
+        f = _face_with_witness(map2d_small, (1, -1))
+        assert f.members[1].equal_as_sets(face)
+        assert analyze_gamma(map2d_small, f).restricted[1] \
+            == restrict(map2d_small[1], face)
 
     def test_restrict_to_whole_polytope_is_identity(self, map2d):
         p = map2d[0]
         hull = convex_hull(list(p.terms) + [(0, 0)])
-        assert p.restrict(hull) == p
+        assert restrict(p, hull) == p.terms
 
     def test_restrict_to_collinear_face(self, map2d):
         face = convex_hull([(0, 0), (4, 2)])
-        r = map2d[0].restrict(face)
-        assert r.terms == {(2, 1): 0, (4, 2): 0}
+        assert restrict(map2d[0], face) == {(2, 1): 0, (4, 2): 0}
+        f = _face_with_witness(map2d, (1, -2))
+        assert f.members[0].equal_as_sets(face)
+        assert analyze_gamma(map2d, f).restricted[0] == restrict(map2d[0], face)
 
     def test_origin_vertex_gives_empty_restriction(self, map2d):
         origin = convex_hull([(0, 0)])
-        assert map2d[0].restrict(origin) is None
+        assert restrict(map2d[0], origin) == {}
+        f = _face_with_witness(map2d, (0, -1))
+        assert f.members[0].equal_as_sets(origin)
+        assert analyze_gamma(map2d, f).restricted[0] == {}
 
     def test_restrict_then_eval_matches_filtered_argmax(self, map2d):
         face = convex_hull([(0, 0), (4, 2)])
         p = map2d[0]
-        r = p.restrict(face)
+        r = TropicalPolynomial(2, restrict(p, face))
         rng = random.Random(3)
         for _ in range(40):
             x = (F(rng.randint(-6, 6)), F(rng.randint(-6, 6)))
@@ -103,6 +118,11 @@ class TestRestrict:
                 rvalue, rargmax = r.eval_with_argmax(x)
                 assert rvalue == value
                 assert rargmax == inter
+
+
+def _face_with_witness(fmap, witness):
+    return next(f for f in enumerate_tuple_faces(delta0(fmap))
+                if f.witness_normal == witness)
 
 
 class TestConstruction:
