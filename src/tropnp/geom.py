@@ -1,20 +1,30 @@
 """Exact rational convex polyhedra via the double description method.
 
-Everything is exact: public coordinates are `fractions.Fraction`, internal
-generator and constraint vectors are gcd-reduced integer tuples, and all
-predicates are decided without tolerances.  Ambient dimensions stay small
-(the engine caps them at DIM_CAP), so the incremental double description
-algorithm with the combinatorial adjacency test is entirely adequate.
+Everything is exact and decided without tolerances.  Ambient dimensions
+stay small (the engine caps them at DIM_CAP), so the incremental double
+description algorithm with the combinatorial adjacency test is entirely
+adequate.
 
 Conventions
 -----------
 * A half-space is `normal . x <= offset`, an equality `normal . x == offset`.
 * A polyhedron in R^n is homogenized to a cone in R^(n+1) with leading
   coordinate x0 >= 0; generators with x0 > 0 are points, with x0 = 0 rays.
-* Canonical form: constraint vectors are primitive integers (equalities with
-  positive leading nonzero entry), rays are primitive integers reduced modulo
-  the lineality space, vertices are reduced modulo lineality, and all lists
-  are sorted lexicographically.  Equal sets get equal canonical forms.
+* Internal data is homogenized and integer: a point p is the primitive
+  vector (d, d p) with d > 0, rays and lineality directions are primitive
+  integer tuples, and a constraint `normal . x <= offset` (or `==`) is the
+  primitive row h = (offset, -normal) with h . (1, x) >= 0 (or == 0).  Ranks,
+  the lineality basis and reductions modulo it come from one fraction-free
+  integer elimination (`int_rref`).  Fractions are built only by the public
+  accessors: `vertices`, `hrep()`, `canonical_key()`,
+  `relative_interior_point()` and `support_value()`.
+* Canonical form: constraint rows are primitive (equalities oriented so the
+  leading nonzero normal entry is positive), the lineality basis is the
+  primitive reduced row echelon form with positive pivots, points and rays
+  are reduced modulo it (zero in its pivot columns), rays are primitive,
+  and all lists are sorted: rays and constraints lexicographically by their
+  public form, points by the rational points they stand for.  Equal sets
+  get equal canonical forms.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ def vscale(c, v: Vec) -> Vec:
 
 
 def vdot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def is_zero_vec(v) -> bool:
@@ -80,49 +90,117 @@ def _ireduce(v: Sequence[int]) -> IVec:
     return tuple(x // g for x in v)
 
 
+def _scaled_ints(v: Iterable):
+    """(s, w) with integers w = s v and s > 0 the lcm of v's denominators."""
+    v = tuple(v)
+    if all(type(x) is int for x in v):
+        return 1, v
+    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    s = 1
+    for x in v:
+        s = s * x.denominator // gcd(s, x.denominator)
+    return s, tuple(x.numerator * (s // x.denominator) for x in v)
+
+
 def primitive(v: Iterable) -> IVec:
     """Scale a rational vector by a positive rational to a primitive integer one."""
-    v = frac_vec(v)
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return _ireduce(tuple(int(x * den) for x in v))
+    return _ireduce(_scaled_ints(v)[1])
 
 
-def _sign_canonical(v: IVec) -> IVec:
-    """Flip sign so the leading nonzero entry is positive (for equalities)."""
-    for x in v:
-        if x != 0:
-            return v if x > 0 else tuple(-a for a in v)
+def _eliminate(v: IVec, row: IVec, c: int) -> IVec:
+    """A positive multiple of v minus a multiple of row, zero in column c
+    (row[c] > 0)."""
+    a, p = v[c], row[c]
+    g = gcd(a, p)
+    a, p = a // g, p // g
+    return tuple([p * x - a * y for x, y in zip(v, row)])
+
+
+def _echelon(rows: Sequence[IVec]):
+    """Fraction-free row echelon form of integer rows: (rows, pivot columns).
+
+    Each returned row is primitive with a positive pivot and zeros below the
+    pivots of the rows above it; their number is the rank.
+    """
+    mat = [r for r in rows if any(r)]
+    out, pivots = [], []
+    c = 0
+    while mat:
+        for k, p in enumerate(mat):
+            if p[c]:
+                break
+        else:
+            c += 1
+            continue
+        del mat[k]
+        if p[c] < 0:
+            p = tuple([-x for x in p])
+        p = _ireduce(p)
+        mat = [r if not r[c] else _eliminate(r, p, c) for r in mat]
+        mat = [r for r in mat if any(r)]
+        out.append(p)
+        pivots.append(c)
+        c += 1
+    return out, pivots
+
+
+def int_rref(rows: Sequence[IVec]):
+    """Reduced row echelon form of integer rows, fraction-free.
+
+    Returns (rows, pivot columns); each row is the primitive positive
+    multiple of the corresponding row of the rational RREF, so it has a
+    positive pivot and zeros in every other pivot column.  The RREF of a
+    row space is unique, hence so is this basis.
+    """
+    out, pivots = _echelon(rows)
+    for k in range(len(out) - 1, 0, -1):
+        row, c = out[k], pivots[k]
+        for j in range(k):
+            if out[j][c]:
+                out[j] = _eliminate(out[j], row, c)
+    return [_ireduce(r) for r in out], pivots
+
+
+def reduce_mod(v: IVec, rows: Sequence[IVec], pivots: Sequence[int]) -> IVec:
+    """The coset representative of v modulo the span of `int_rref` rows that
+    is zero in their pivot columns, scaled by a positive integer (so a
+    homogenized point keeps its positive x0)."""
+    for row, c in zip(rows, pivots):
+        if v[c]:
+            v = _eliminate(v, row, c)
     return v
 
 
-def _rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form over Q; returns (rows, pivot column indices)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
-
-
 def matrix_rank(rows) -> int:
-    return len(_rref(rows)[0])
+    """Rank of a list of rational or integer vectors."""
+    return len(_echelon([primitive(r) for r in rows])[0])
+
+
+def _dehomog(p: IVec) -> Vec:
+    """The rational point of a homogenized point (d, d x)."""
+    d = p[0]
+    if d == 1:
+        return tuple(Fraction(x) for x in p[1:])
+    return tuple(Fraction(x, d) for x in p[1:])
+
+
+def _key_point(p: IVec) -> tuple:
+    """The rational point of (d, d x), integral coordinates as ints: it
+    compares and hashes like the tuple of Fractions."""
+    d = p[0]
+    if d == 1:
+        return p[1:]
+    return tuple(Fraction(x, d) if x % d else x // d for x in p[1:])
+
+
+def _public_row(h: IVec):
+    """(normal, offset) of a homogenized constraint row (offset, -normal)."""
+    return tuple(-x for x in h[1:]), Fraction(h[0])
+
+
+def _row_order(h: IVec):
+    """Sort key of a constraint row: its public (normal, offset) order."""
+    return tuple(-x for x in h[1:]), h[0]
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +340,13 @@ def dd_constraints(dim: int, lineality: Sequence[IVec], rays: Sequence[IVec]):
 
 def _homog_ineq(normal: Vec, offset) -> IVec:
     """a . x <= b  ->  (b, -a) . (x0, x) >= 0, as a primitive integer vector."""
-    return primitive((Fraction(offset),) + tuple(-Fraction(c) for c in normal))
+    h = primitive((offset,) + tuple(normal))
+    return (h[0],) + tuple(-x for x in h[1:])
 
 
 def _homog_point(p: Vec) -> IVec:
-    return primitive((Fraction(1),) + frac_vec(p))
+    """The primitive homogenized point (d, d p), d > 0."""
+    return primitive((1,) + tuple(p))
 
 
 class HBuilder:
@@ -329,11 +409,11 @@ class Polyhedron:
 
     Immutable once constructed; the two representations are derived lazily
     from one another through the double description method and cached in
-    canonical form.
+    canonical form, as homogenized integer data (see the module doc).
     """
 
-    __slots__ = ("n", "_ineqs", "_eqs", "_points", "_rays", "_lins", "_empty",
-                 "_dim", "_faces", "_vreduced")
+    __slots__ = ("n", "_hin", "_heq", "_given", "_points", "_rays", "_lins",
+                 "_empty", "_dim", "_faces", "_vreduced")
 
     def __init__(self):
         raise TypeError("use Polyhedron.from_hrep / from_generators / empty")
@@ -344,11 +424,12 @@ class Polyhedron:
     def _new(n: int) -> "Polyhedron":
         self = object.__new__(Polyhedron)
         self.n = n
-        self._ineqs = None
-        self._eqs = None
-        self._points = None
+        self._hin = None      # homogenized inequality rows
+        self._heq = None      # homogenized equality rows
+        self._given = None    # from_hrep: the caller's pairs, which hrep() returns
+        self._points = None   # homogenized points (d, d p), sorted by p
         self._rays = None
-        self._lins = None
+        self._lins = None     # int_rref basis of the lineality space
         self._empty = None
         self._dim = None
         self._faces = None
@@ -359,37 +440,30 @@ class Polyhedron:
     def from_hrep(cls, n: int, inequalities=(), equalities=()) -> "Polyhedron":
         """Build from half-spaces (normal, offset) and equalities (normal, offset)."""
         self = cls._new(n)
-        ineqs = []
-        for normal, offset in inequalities:
-            normal = frac_vec(normal)
-            if len(normal) != n:
-                raise GeometryError(f"constraint dimension {len(normal)} != {n}")
-            ineqs.append((normal, Fraction(offset)))
-        eqs = []
-        for normal, offset in equalities:
-            normal = frac_vec(normal)
-            if len(normal) != n:
-                raise GeometryError(f"constraint dimension {len(normal)} != {n}")
-            eqs.append((normal, Fraction(offset)))
-        self._ineqs = ineqs
-        self._eqs = eqs
+        given = ([], [])
+        for pairs, out in ((inequalities, given[0]), (equalities, given[1])):
+            for normal, offset in pairs:
+                normal = frac_vec(normal)
+                if len(normal) != n:
+                    raise GeometryError(f"constraint dimension {len(normal)} != {n}")
+                out.append((normal, Fraction(offset)))
+        self._given = given
+        self._hin = [_homog_ineq(a, b) for a, b in given[0]]
+        self._heq = [_homog_ineq(a, b) for a, b in given[1]]
         return self
 
     @classmethod
     def from_generators(cls, n: int, points=(), rays=(), lineality=()) -> "Polyhedron":
         """Build conv(points) + cone(rays) + span(lineality); empty if no points."""
-        points = [frac_vec(p) for p in points]
+        points = [tuple(p) for p in points]
         for p in points:
             if len(p) != n:
                 raise GeometryError(f"point dimension {len(p)} != {n}")
         if not points:
             return cls.empty(n)
-        self = cls._new(n)
-        self._empty = False
-        self._set_vrep(points,
-                       [primitive(r) for r in rays if not is_zero_vec(r)],
-                       [primitive(l) for l in lineality if not is_zero_vec(l)])
-        return self
+        return cls._from_vdata(n, [_homog_point(p) for p in points],
+                               [primitive(r) for r in rays if any(r)],
+                               [primitive(l) for l in lineality if any(l)])
 
     @classmethod
     def empty(cls, n: int) -> "Polyhedron":
@@ -397,8 +471,9 @@ class Polyhedron:
         self._empty = True
         self._points, self._rays, self._lins = [], [], []
         zero = tuple(Fraction(0) for _ in range(n))
-        self._ineqs = [(zero, Fraction(-1))]
-        self._eqs = []
+        self._given = ([(zero, Fraction(-1))], [])
+        self._hin = [(-1,) + (0,) * n]
+        self._heq = []
         self._dim = -1
         self._vreduced = True
         return self
@@ -409,52 +484,72 @@ class Polyhedron:
 
     @classmethod
     def point(cls, p) -> "Polyhedron":
-        p = frac_vec(p)
+        p = tuple(p)
         return cls.from_generators(len(p), [p])
 
     @classmethod
+    def _from_vdata(cls, n, points, rays, lins) -> "Polyhedron":
+        """From nonempty homogenized points, integer rays and lineality."""
+        self = cls._new(n)
+        self._empty = False
+        self._set_vrep(points, rays, lins)
+        return self
+
+    @classmethod
     def _from_homog_generators(cls, n, lin, rays) -> "Polyhedron":
-        points, prays, plins = [], [], []
+        """From the lineality and extreme rays of a homogenization cone."""
+        self = cls._new(n)
+        if not self._set_homog_generators(lin, rays):
+            return cls.empty(n)
+        return self
+
+    def _sub(self, points, rays) -> "Polyhedron":
+        """The polyhedron spanned by some of this one's reduced generators and
+        its lineality, e.g. a face; the sublists keep the canonical order."""
+        face = Polyhedron._new(self.n)
+        face._empty = False
+        face._points, face._rays, face._lins = points, rays, self._lins
+        face._vreduced = True  # extreme generators of P on a face are its own
+        return face
+
+    # -- representation plumbing -------------------------------------------
+
+    def _set_homog_generators(self, lin, rays) -> bool:
+        """V data from the generators of the homogenization cone, as the
+        double description produced them; False when there is no point."""
+        points = [r for r in rays if r[0] > 0]
+        if not points:
+            return False
+        lins = []
         for l in lin:
             if l[0] != 0:
                 raise GeometryError("homogenization lineality with nonzero x0")
             if any(l[1:]):
-                plins.append(l[1:])
-        for r in rays:
-            if r[0] > 0:
-                points.append(tuple(Fraction(x, r[0]) for x in r[1:]))
-            elif any(r[1:]):
-                prays.append(_ireduce(r[1:]))
-        if not points:
-            return cls.empty(n)
-        self = cls._new(n)
+                lins.append(l[1:])
         self._empty = False
-        self._set_vrep(points, prays, plins)
+        self._set_vrep(points, [r[1:] for r in rays if r[0] == 0 and any(r[1:])],
+                       lins)
         self._vreduced = True  # double description output is already extreme
-        return self
+        self._dim = self._generator_dim()
+        return True
 
-    # -- representation plumbing -------------------------------------------
+    def _generator_dim(self) -> int:
+        """Rank of the homogenized generators, less one.  Points and rays are
+        zero in the pivot columns of the lineality basis, which therefore
+        adds its own length to their rank."""
+        gens = self._points + [(0,) + r for r in self._rays]
+        return len(self._lins) + len(_echelon(gens)[0]) - 1
 
     def _set_vrep(self, points, rays, lins) -> None:
-        lins, pivots = _rref(lins) if lins else ([], [])
-        lins = [primitive(l) for l in lins]
-
-        def reduce_mod_lin(v):
-            v = list(map(Fraction, v))
-            for row, c in zip(lins, pivots):
-                if v[c] != 0:
-                    f = Fraction(v[c], row[c])
-                    v = [x - f * y for x, y in zip(v, row)]
-            return tuple(v)
-
-        pts = sorted(set(reduce_mod_lin(p) for p in points))
-        rys = set()
-        for r in rays:
-            r = reduce_mod_lin(r)
-            if not is_zero_vec(r):
-                rys.add(primitive(r))
-        self._points = pts
-        self._rays = sorted(rys)
+        lins, pivots = int_rref(lins)
+        if lins:
+            hlins = [(0,) + l for l in lins]
+            hpivots = [c + 1 for c in pivots]
+            points = [_ireduce(reduce_mod(p, hlins, hpivots)) for p in points]
+            rays = [_ireduce(reduce_mod(r, lins, pivots)) for r in rays]
+            rays = [r for r in rays if any(r)]
+        self._points = sorted(set(points), key=_key_point)
+        self._rays = sorted(set(rays))
         self._lins = lins
 
     def _ensure_vrep(self) -> None:
@@ -463,28 +558,13 @@ class Polyhedron:
         self._vrep_from_hrep()
 
     def _vrep_from_hrep(self) -> None:
-        eqs = [_homog_ineq(a, b) for a, b in self._eqs]
-        ineqs = [_homog_ineq(a, b) for a, b in self._ineqs]
-        ineqs.append(tuple([1] + [0] * self.n))  # x0 >= 0
-        lin, rays = dd_generators(self.n + 1, eqs, ineqs)
-        if not any(r[0] > 0 for r in rays):
+        ineqs = self._hin + [tuple([1] + [0] * self.n)]  # x0 >= 0
+        lin, rays = dd_generators(self.n + 1, self._heq, ineqs)
+        if not self._set_homog_generators(lin, rays):
             self._empty = True
             self._points, self._rays, self._lins = [], [], []
             self._dim = -1
             self._vreduced = True
-            return
-        self._empty = False
-        points, prays, plins = [], [], []
-        for l in lin:
-            if any(l[1:]):
-                plins.append(l[1:])
-        for r in rays:
-            if r[0] > 0:
-                points.append(tuple(Fraction(x, r[0]) for x in r[1:]))
-            elif any(r[1:]):
-                prays.append(_ireduce(r[1:]))
-        self._set_vrep(points, prays, plins)
-        self._vreduced = True
 
     def _ensure_reduced_vrep(self) -> None:
         """Drop non-extreme generators by round-tripping through the H-rep."""
@@ -495,38 +575,20 @@ class Polyhedron:
         self._vrep_from_hrep()
 
     def _ensure_hrep(self) -> None:
-        if self._ineqs is not None:
+        if self._hin is not None:
             return
-        gens = [_homog_point(p) for p in self._points]
-        gens += [(0,) + tuple(r) for r in self._rays]
-        glin = [(0,) + tuple(l) for l in self._lins]
+        gens = self._points + [(0,) + r for r in self._rays]
+        glin = [(0,) + l for l in self._lins]
         lin_star, rays_star = dd_constraints(self.n + 1, glin, gens)
-        ineqs, eqs = [], []
-        for c in rays_star:
-            normal = tuple(Fraction(-x) for x in c[1:])
-            if is_zero_vec(normal):
-                continue  # the x0 >= 0 facet or a trivial row
-            ineqs.append((normal, Fraction(c[0])))
+        # rows with a zero normal are the x0 >= 0 facet or trivial
+        hin = {c for c in rays_star if any(c[1:])}
+        heq = set()
         for c in lin_star:
-            normal = tuple(Fraction(x) for x in c[1:])
-            if is_zero_vec(normal):
-                continue
-            eqs.append((normal, Fraction(-c[0])))
-        self._ineqs = ineqs
-        self._eqs = eqs
-        self._canonicalize_hrep()
-
-    def _canonicalize_hrep(self) -> None:
-        ineqs = set()
-        for a, b in self._ineqs:
-            v = primitive(tuple(a) + (b,))
-            ineqs.add((v[:-1], Fraction(v[-1])))
-        eqs = set()
-        for a, b in self._eqs:
-            v = _sign_canonical(primitive(tuple(a) + (b,)))
-            eqs.add((v[:-1], Fraction(v[-1])))
-        self._ineqs = sorted(ineqs)
-        self._eqs = sorted(eqs)
+            if any(c[1:]):
+                lead = next(x for x in c[1:] if x)
+                heq.add(c if lead < 0 else tuple(-x for x in c))
+        self._hin = sorted(hin, key=_row_order)
+        self._heq = sorted(heq, key=_row_order)
 
     # -- basic queries -------------------------------------------------------
 
@@ -540,7 +602,7 @@ class Polyhedron:
     def vertices(self) -> list:
         """Point generators; the actual vertices whenever the polyhedron is pointed."""
         self._ensure_reduced_vrep()
-        return list(self._points)
+        return [_dehomog(p) for p in self._points]
 
     @property
     def rays(self) -> list:
@@ -553,11 +615,16 @@ class Polyhedron:
         return list(self._lins)
 
     def hrep(self):
-        """Canonical (inequalities, equalities), both as (normal, offset) pairs."""
-        if self.is_empty:
-            return list(self._ineqs), list(self._eqs)
+        """Canonical (inequalities, equalities), both as (normal, offset) pairs.
+
+        A polyhedron built by `from_hrep` returns the constraints it was
+        given, as Fractions, in the given order.
+        """
+        if self._given is not None:
+            return list(self._given[0]), list(self._given[1])
         self._ensure_hrep()
-        return list(self._ineqs), list(self._eqs)
+        return ([_public_row(h) for h in self._hin],
+                [_public_row(h) for h in self._heq])
 
     def dual_description(self) -> "Polyhedron":
         """Populate and canonicalize both representations; returns self."""
@@ -570,25 +637,23 @@ class Polyhedron:
     def dim(self) -> int:
         """Affine dimension; -1 for the empty polyhedron."""
         if self._dim is None:
-            if self.is_empty:
-                self._dim = -1
-            else:
-                base = self._points[0]
-                rows = [vsub(p, base) for p in self._points[1:]]
-                rows += [frac_vec(r) for r in self._rays]
-                rows += [frac_vec(l) for l in self._lins]
-                self._dim = matrix_rank(rows) if rows else 0
+            self._dim = -1 if self.is_empty else self._generator_dim()
         return self._dim
 
+    def _satisfied_by(self, g: IVec) -> bool:
+        """Does the homogenized point (d, d p) or ray (0, r) satisfy every
+        constraint row?"""
+        return (all(vdot(h, g) >= 0 for h in self._hin)
+                and all(vdot(h, g) == 0 for h in self._heq))
+
     def contains(self, x) -> bool:
-        x = frac_vec(x)
+        x = tuple(x)
         if len(x) != self.n:
             raise GeometryError("point dimension mismatch")
         if self.is_empty:
             return False
-        ineqs, eqs = self.hrep()
-        return (all(vdot(a, x) <= b for a, b in ineqs)
-                and all(vdot(a, x) == b for a, b in eqs))
+        self._ensure_hrep()
+        return self._satisfied_by(_homog_point(x))
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
         """Exact set containment other <= self, via generators against H-rep."""
@@ -596,16 +661,14 @@ class Polyhedron:
             return True
         if self.is_empty:
             return False
-        ineqs, eqs = self.hrep()
-        for p in other.vertices:
-            if not (all(vdot(a, p) <= b for a, b in ineqs)
-                    and all(vdot(a, p) == b for a, b in eqs)):
-                return False
-        for r in itertools.chain(other.rays, other.lineality, map(vneg_int, other.lineality)):
-            if not (all(vdot(a, r) <= 0 for a, b in ineqs)
-                    and all(vdot(a, r) == 0 for a, b in eqs)):
-                return False
-        return True
+        self._ensure_hrep()
+        other._ensure_reduced_vrep()
+        if not all(self._satisfied_by(p) for p in other._points):
+            return False
+        if not all(self._satisfied_by((0,) + r) for r in other._rays):
+            return False
+        rows = self._hin + self._heq
+        return all(vdot(h[1:], l) == 0 for l in other._lins for h in rows)
 
     def equal_as_sets(self, other: "Polyhedron") -> bool:
         return self.contains_polyhedron(other) and other.contains_polyhedron(self)
@@ -615,11 +678,17 @@ class Polyhedron:
         if self.is_empty:
             raise GeometryError("empty polyhedron has no relative interior point")
         self._ensure_vrep()
-        k = Fraction(1, len(self._points))
-        p = tuple(sum(pt[i] for pt in self._points) * k for i in range(self.n))
+        den = 1
+        for p in self._points:
+            den = den * p[0] // gcd(den, p[0])
+        num = [0] * self.n
+        for p in self._points:
+            s = den // p[0]
+            num = [a + s * x for a, x in zip(num, p[1:])]
+        k = len(self._points)
         for r in self._rays:
-            p = vadd(p, frac_vec(r))
-        return p
+            num = [a + k * den * x for a, x in zip(num, r)]
+        return tuple(Fraction(a, k * den) for a in num)
 
     # -- operations ----------------------------------------------------------
 
@@ -637,48 +706,62 @@ class Polyhedron:
             raise GeometryError("ambient dimension mismatch")
         if self.is_empty or other.is_empty:
             return Polyhedron.empty(self.n)
-        points = [vadd(p, q) for p in self.vertices for q in other.vertices]
-        return Polyhedron.from_generators(
-            self.n, points, self.rays + other.rays, self.lineality + other.lineality)
+        self._ensure_reduced_vrep()
+        other._ensure_reduced_vrep()
+        points = [_ireduce((p[0] * q[0],) + tuple(q[0] * x + p[0] * y
+                                                   for x, y in zip(p[1:], q[1:])))
+                  for p in self._points for q in other._points]
+        return Polyhedron._from_vdata(self.n, points, self._rays + other._rays,
+                                      self._lins + other._lins)
 
     def translate(self, v) -> "Polyhedron":
-        v = frac_vec(v)
+        s, w = _scaled_ints(v)
         if self.is_empty:
             return self
-        return Polyhedron.from_generators(
-            self.n, [vadd(p, v) for p in self.vertices], self.rays, self.lineality)
+        self._ensure_reduced_vrep()
+        points = [_ireduce((s * p[0],) + tuple(s * x + p[0] * y
+                                                for x, y in zip(p[1:], w)))
+                  for p in self._points]
+        return Polyhedron._from_vdata(self.n, points, self._rays, self._lins)
+
+    def _argmax(self, a: IVec):
+        """(the reduced points maximising the integer direction a, numerator
+        and x0 of the maximum); None when a is unbounded above."""
+        self._ensure_reduced_vrep()
+        if any(vdot(a, r) > 0 for r in self._rays):
+            return None
+        if any(vdot(a, l) != 0 for l in self._lins):
+            return None
+        values = [(vdot(a, p[1:]), p[0]) for p in self._points]
+        top, den = values[0]
+        for v, d in values[1:]:
+            if v * den > top * d:
+                top, den = v, d
+        points = [p for p, (v, d) in zip(self._points, values) if v * den == top * d]
+        return points, top, den
 
     def face_in_direction(self, alpha) -> Optional["Polyhedron"]:
         """The argmax face of <alpha, .>; None when unbounded in that direction."""
-        alpha = frac_vec(alpha)
+        _, a = _scaled_ints(alpha)
         if self.is_empty:
             raise GeometryError("empty polyhedron has no faces")
-        if is_zero_vec(alpha):
+        if not any(a):
             raise GeometryError("direction must be nonzero")
-        self._ensure_reduced_vrep()
-        if any(vdot(alpha, r) > 0 for r in self._rays):
+        found = self._argmax(a)
+        if found is None:
             return None
-        if any(vdot(alpha, l) != 0 for l in self._lins):
-            return None
-        values = [vdot(alpha, p) for p in self._points]
-        m = max(values)
-        points = [p for p, v in zip(self._points, values) if v == m]
-        rays = [r for r in self._rays if vdot(alpha, r) == 0]
-        face = Polyhedron.from_generators(self.n, points, rays, self._lins)
-        face._vreduced = True
-        return face
+        return self._sub(found[0], [r for r in self._rays if vdot(a, r) == 0])
 
     def support_value(self, alpha):
         """sup of <alpha, .>; None when unbounded above."""
-        alpha = frac_vec(alpha)
+        s, a = _scaled_ints(alpha)
         if self.is_empty:
             raise GeometryError("empty polyhedron")
-        self._ensure_reduced_vrep()
-        if any(vdot(alpha, r) > 0 for r in self._rays):
+        found = self._argmax(a)
+        if found is None:
             return None
-        if any(vdot(alpha, l) != 0 for l in self._lins):
-            return None
-        return max(vdot(alpha, p) for p in self._points)
+        _, top, den = found
+        return Fraction(top, s * den)
 
     def recession_cone(self) -> "Cone":
         if self.is_empty:
@@ -692,32 +775,27 @@ class Polyhedron:
         """Image under x -> (row_i . x + const_i); exact on all generators."""
         if self.is_empty:
             return Polyhedron.empty(len(rows))
-        rows = [frac_vec(r) for r in rows]
-        consts = frac_vec(consts)
-        points = [tuple(vdot(r, p) + c for r, c in zip(rows, consts)) for p in self.vertices]
-        rays = [tuple(vdot(r, q) for r in rows) for q in self.rays]
-        lins = [tuple(vdot(r, l) for r in rows) for l in self.lineality]
-        return Polyhedron.from_generators(len(rows), points, rays, lins)
+        # one common denominator s: the map is (1/s) (C + R x), C and R integer
+        s, flat = _scaled_ints(list(consts) + [x for r in rows for x in r])
+        m = len(rows)
+        cs = flat[:m]
+        rs = [flat[m + i * self.n:m + (i + 1) * self.n] for i in range(m)]
+        self._ensure_reduced_vrep()
+        points = [_ireduce((s * p[0],) + tuple(vdot(r, p[1:]) + c * p[0]
+                                                for r, c in zip(rs, cs)))
+                  for p in self._points]
+
+        def image(dirs):
+            out = [_ireduce(tuple(vdot(r, q) for r in rs)) for q in dirs]
+            return [q for q in out if any(q)]
+        return Polyhedron._from_vdata(m, points, image(self._rays), image(self._lins))
 
     def project(self, coords: Sequence[int]) -> "Polyhedron":
         """Coordinate projection, exact via generators."""
-        rows = [tuple(Fraction(1) if j == c else Fraction(0) for j in range(self.n))
-                for c in coords]
+        rows = [tuple(1 if j == c else 0 for j in range(self.n)) for c in coords]
         return self.affine_image(rows, [0] * len(coords))
 
     # -- faces ---------------------------------------------------------------
-
-    def _generator_table(self):
-        self._ensure_reduced_vrep()
-        ineqs, _ = self.hrep()
-        gens = [("p", p) for p in self._points] + [("r", frac_vec(r)) for r in self._rays]
-        incidence = []
-        for a, b in ineqs:
-            active = frozenset(
-                i for i, (kind, g) in enumerate(gens)
-                if (vdot(a, g) == b if kind == "p" else vdot(a, g) == 0))
-            incidence.append(active)
-        return gens, ineqs, incidence
 
     def proper_faces(self) -> list["Polyhedron"]:
         """All nonempty faces F with F != P, including the facets and vertices."""
@@ -729,7 +807,12 @@ class Polyhedron:
             return []
         if self._faces is not None:
             return list(self._faces)
-        gens, ineqs, incidence = self._generator_table()
+        self._ensure_reduced_vrep()
+        self._ensure_hrep()
+        npts = len(self._points)
+        gens = self._points + [(0,) + r for r in self._rays]
+        incidence = [frozenset(i for i, g in enumerate(gens) if vdot(h, g) == 0)
+                     for h in self._hin]
         all_gens = frozenset(range(len(gens)))
         seen = {}
         frontier = {all_gens}
@@ -752,14 +835,11 @@ class Polyhedron:
                 exact = exact & incidence[i]
             if exact != gset:
                 continue
-            pts = [g for k, (kind, g) in enumerate(gens) if k in gset and kind == "p"]
-            rys = [g for k, (kind, g) in enumerate(gens) if k in gset and kind == "r"]
+            idx = sorted(gset)
+            pts = [gens[k] for k in idx if k < npts]
             if not pts:
                 continue
-            face = Polyhedron.from_generators(self.n, pts, rys, self._lins)
-            # extreme generators of P lying on a face are that face's own
-            # extreme generators, so the representation is already reduced
-            face._vreduced = True
+            face = self._sub(pts, [gens[k][1:] for k in idx if k >= npts])
             faces.append((face, tuple(facets)))
         faces.sort(key=lambda fa: (fa[0].dim, fa[0].canonical_key()))
         self._faces = faces
@@ -768,10 +848,15 @@ class Polyhedron:
     # -- canonical identity ----------------------------------------------------
 
     def canonical_key(self):
+        """Vertices, rays and lineality in canonical form: equal exactly for
+        equal sets, and ordered like the tuples of rational vertices.  Vertex
+        coordinates are ints where integral, which saves building a Fraction
+        per integer coordinate."""
         if self.is_empty:
             return ("empty", self.n)
         self._ensure_reduced_vrep()
-        return (tuple(self._points), tuple(self._rays), tuple(self._lins))
+        return (tuple(map(_key_point, self._points)), tuple(self._rays),
+                tuple(self._lins))
 
     def __eq__(self, other):
         return isinstance(other, Polyhedron) and self.n == other.n \
@@ -794,7 +879,7 @@ def vneg_int(v):
 
 def convex_hull(points: Sequence) -> Polyhedron:
     """Polytope spanned by the given rational points, with irredundant data."""
-    pts = [frac_vec(p) for p in points]
+    pts = [tuple(p) for p in points]
     if not pts:
         raise GeometryError("convex hull of an empty point set")
     n = len(pts[0])
@@ -821,37 +906,22 @@ class Cone:
         """`reduced=True` promises the rays are already extreme modulo the
         lineality span, skipping the polar round-trip."""
         self.n = n
-        rays = [primitive(r) for r in rays if not is_zero_vec(r)]
-        lins = [primitive(l) for l in lineality if not is_zero_vec(l)]
+        rays = [primitive(r) for r in rays if any(r)]
+        lins = [primitive(l) for l in lineality if any(l)]
         if not reduced and (len(rays) > 1 or (rays and lins)):
             # round-trip through the polar to drop hidden lineality and
             # non-extreme rays
             lin_star, rays_star = dd_constraints(n, lins, rays)
             lins, rays = dd_generators(n, lin_star, rays_star)
-        lins, pivots = _rref([frac_vec(l) for l in lins]) if lins else ([], [])
-        lins = [primitive(l) for l in lins]
-
-        def reduce_mod(v):
-            v = list(map(Fraction, v))
-            for row, c in zip(lins, pivots):
-                if v[c] != 0:
-                    f = Fraction(v[c], row[c])
-                    v = [x - f * y for x, y in zip(v, row)]
-            return tuple(v)
-
-        rset = set()
-        for r in rays:
-            r = reduce_mod(r)
-            if not is_zero_vec(r):
-                rset.add(primitive(r))
-        self.rays = tuple(sorted(rset))
+        lins, pivots = int_rref(lins)
+        rays = {_ireduce(reduce_mod(r, lins, pivots)) for r in rays}
+        self.rays = tuple(sorted(r for r in rays if any(r)))
         self.lineality = tuple(lins)
         self._poly = None
 
     @property
     def dim(self) -> int:
-        rows = [frac_vec(r) for r in self.rays] + [frac_vec(l) for l in self.lineality]
-        return matrix_rank(rows) if rows else 0
+        return len(_echelon(self.rays + self.lineality)[0])
 
     @property
     def is_trivial(self) -> bool:
@@ -859,9 +929,8 @@ class Cone:
 
     def as_polyhedron(self) -> Polyhedron:
         if self._poly is None:
-            origin = tuple(Fraction(0) for _ in range(self.n))
-            self._poly = Polyhedron.from_generators(
-                self.n, [origin], self.rays, self.lineality)
+            self._poly = Polyhedron._from_vdata(
+                self.n, [(1,) + (0,) * self.n], list(self.rays), list(self.lineality))
         return self._poly
 
     def contains(self, v) -> bool:
@@ -925,26 +994,29 @@ def strict_witness(n, ineqs, eqs, stricts) -> Optional[Vec]:
     nonempty iff sup t > 0, and a generator with positive slack yields an
     explicit witness.
     """
-    lifted = [(tuple(a) + (Fraction(0),), b) for a, b in ineqs]
-    lifted += [(tuple(a) + (Fraction(1),), b) for a, b in stricts]
-    leqs = [(tuple(a) + (Fraction(0),), b) for a, b in eqs]
-    t_axis = tuple([Fraction(0)] * n + [Fraction(-1)])
-    lifted.append((t_axis, Fraction(0)))  # t >= 0
+    lifted = [(tuple(a) + (0,), b) for a, b in ineqs]
+    lifted += [(tuple(a) + (1,), b) for a, b in stricts]
+    leqs = [(tuple(a) + (0,), b) for a, b in eqs]
+    lifted.append(((0,) * n + (-1,), 0))  # t >= 0
     P = Polyhedron.from_hrep(n + 1, lifted, leqs)
     if P.is_empty:
         return None
-    for p in P.vertices:
+    for p in P._points:
         if p[-1] > 0:
-            return p[:-1]
-    base = P.vertices[0]
-    for r in P.rays:
+            return _dehomog(p)[:-1]
+    base = P._points[0]
+
+    def shifted(v):
+        d = base[0]
+        return _dehomog((d,) + tuple(x + d * y for x, y in zip(base[1:], v)))[:-1]
+    for r in P._rays:
         if r[-1] > 0:
-            return vadd(base, frac_vec(r))[:-1]
-    for l in P.lineality:
+            return shifted(r)
+    for l in P._lins:
         if l[-1] > 0:
-            return vadd(base, frac_vec(l))[:-1]
+            return shifted(l)
         if l[-1] < 0:
-            return vsub(base, frac_vec(l))[:-1]
+            return shifted(vneg_int(l))
     return None
 
 

@@ -30,6 +30,57 @@ def restrict(p, face):
     return {exp: c for exp, c in p.terms.items() if face.contains(exp)}
 
 
+def rref(rows):
+    """Reduced row echelon form over Q: (rows with pivot 1, pivot columns)."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def rank(rows):
+    return len(rref(rows)[0])
+
+
+def reduce_modulo(v, rows, pivots):
+    """v minus the combination of RREF rows that zeroes their pivot columns."""
+    v = list(map(Fraction, v))
+    for row, c in zip(rows, pivots):
+        if v[c] != 0:
+            f = v[c] / row[c]
+            v = [x - f * y for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def canonical_key_from(points, rays, lineality):
+    """Polyhedron.canonical_key of conv(points) + cone(rays) + span(lineality)
+    for extreme generators, rebuilt through the reference reduction."""
+    lins, pivots = rref(lineality) if lineality else ([], [])
+    pts = sorted({reduce_modulo(p, lins, pivots) for p in points})
+    rys = set()
+    for r in rays:
+        r = reduce_modulo(r, lins, pivots)
+        if any(r):
+            rys.add(primitive(r))
+    return tuple(pts), tuple(sorted(rys)), tuple(primitive(l) for l in lins)
+
+
 @pytest.fixture(scope="session")
 def map2d():
     """Two plane curves whose non-properness set is known in closed form."""

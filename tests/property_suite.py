@@ -7,6 +7,8 @@ For each random plane map it checks, with everything exact:
     dimensions and transversality of every cell match the hull definitions,
   * that every cell of every full, restricted and bend_only complex carries
     the argmax profile found at a relative-interior point of its closure,
+    and that its closure's dimension and canonical key match the rational
+    reference rank and reduction,
   * the dimension bound on every emitted piece,
   * that non-pre-origin faces contribute nothing,
   * the cell-count bijection between the full complex and each restricted
@@ -27,6 +29,8 @@ from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.oracle import grid_compare, in_tnp
 from tropnp.subdivision import _argmax_at, decomposition, duality_violations
 from tropnp.tropical import MINUS_INF, TropicalMap, TropicalPolynomial
+
+from conftest import canonical_key_from, rank
 
 F = Fraction
 
@@ -129,6 +133,22 @@ def _check_profiles(cx):
                 (c, fc)
 
 
+def _check_closures(cx):
+    """Each cell closure's dimension, read off the rank of the double
+    description's homogenized generators, is the rational rank of its
+    generators' differences; its canonical key is the one rebuilt by the
+    reference reduction from generators shifted along the lineality."""
+    for c in cx.cells:
+        p = c.closure
+        verts, rays, lins = p.vertices, p.rays, p.lineality
+        diffs = [tuple(a - b for a, b in zip(v, verts[0])) for v in verts[1:]]
+        assert p.dim == rank(diffs + rays + lins), c
+        shift = [sum(k * l[j] for k, l in enumerate(lins, 1)) for j in range(p.n)]
+        moved = [tuple(a + b for a, b in zip(v, shift)) for v in verts]
+        rays = [tuple(a + 2 * b for a, b in zip(r, shift)) for r in rays]
+        assert p.canonical_key() == canonical_key_from(moved, rays, lins), c
+
+
 def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     report = MapReport(index)
     n = m.n
@@ -138,6 +158,7 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
         report.duality_ok = False
     _check_rank_dims(xi)
     _check_profiles(xi)
+    _check_closures(xi)
     transversal = xi.is_transversal()[0]
 
     tup = delta0(m)
@@ -151,6 +172,7 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
             report.duality_ok = False
         _check_rank_dims(ctx.complex)
         _check_profiles(ctx.complex)
+        _check_closures(ctx.complex)
         if not ctx.complex.is_transversal()[0]:
             transversal = False
 
@@ -197,8 +219,9 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     # the oracle's complexes: the virtual preimages of points of the set
     for piece in staircase_set.polytopes:
         y = piece.relative_interior_point()
-        _check_profiles(decomposition(m.term_maps(), list(y), n=n,
-                                      bend_only=True))
+        bend = decomposition(m.term_maps(), list(y), n=n, bend_only=True)
+        _check_profiles(bend)
+        _check_closures(bend)
     for face_id, cell_id, probe in diff_probes:
         verdict = in_tnp(m, probe)
         report.disagreements.append(Disagreement(

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropnp.geom import (Cone, GeometryError, Polyhedron, convex_hull,
-                         covered_by_union, is_dicritical_cone, union_equal)
+                         covered_by_union, int_rref, is_dicritical_cone,
+                         matrix_rank, primitive, reduce_mod, union_equal)
+
+from conftest import rank, reduce_modulo, rref
 
 F = Fraction
 
@@ -240,3 +244,126 @@ class TestUnionCoverage:
         right = convex_hull([(1, 0), (2, 0), (1, 2), (2, 2)])
         assert covered_by_union(sq, [left, right])
         assert not covered_by_union(sq, [left])
+
+
+def _random_matrix(rng, rational):
+    """Up to 6 x 5, with zero rows, repeated rows and dependent rows."""
+    cols = rng.randint(1, 5)
+
+    def entry():
+        if rng.random() < 0.35:
+            return 0
+        x = rng.randint(-5, 5)
+        return F(x, rng.randint(1, 4)) if rational else x
+    rows = [tuple(entry() for _ in range(cols)) for _ in range(rng.randint(0, 4))]
+    if rows and rng.random() < 0.4:
+        rows.append(rng.choice(rows))
+    if len(rows) >= 2 and rng.random() < 0.4:
+        a, b = rng.sample(rows, 2)
+        k = rng.randint(-3, 3)
+        rows.append(tuple(x + k * y for x, y in zip(a, b)))
+    if rng.random() < 0.3:
+        rows.append((0,) * cols)
+    rng.shuffle(rows)
+    return rows[:6], cols
+
+
+class TestIntegerElimination:
+    """The fraction-free kernel against the rational reference (conftest)."""
+
+    def test_rank_rref_and_reduction_match_the_rational_reference(self):
+        rng = random.Random(20261018)
+        deficient = 0
+        for trial in range(400):
+            rows, cols = _random_matrix(rng, rational=trial % 2 == 1)
+            ref_rows, ref_pivots = rref(rows)
+            assert matrix_rank(rows) == len(ref_rows), rows
+            deficient += len(ref_rows) < len(rows)
+
+            out, pivots = int_rref([primitive(r) for r in rows])
+            assert pivots == ref_pivots, rows
+            assert out == [primitive(r) for r in ref_rows], rows
+            for row, c in zip(out, pivots):
+                assert row[c] > 0 and primitive(row) == row
+
+            v = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(cols))
+            want = reduce_modulo(v, ref_rows, ref_pivots)
+            got = reduce_mod(primitive(v), out, pivots)
+            assert primitive(got) == primitive(want), (rows, v)
+            assert all(got[c] == 0 for c in pivots)
+
+            # the same reduction inside the Polyhedron and Cone constructors
+            p = Polyhedron.from_generators(cols, [v], [], rows)
+            assert p.lineality == [primitive(r) for r in ref_rows]
+            assert p.vertices == [want]
+            assert p.dim == len(ref_rows)
+            c = Cone(cols, [v], rows, reduced=True)
+            assert c.rays == ((primitive(want),) if any(want) else ())
+            assert c.dim == rank(list(rows) + [v])
+        assert deficient > 50
+
+    def test_primitive_of_integers_and_rationals(self):
+        assert primitive((4, -6, 0)) == (2, -3, 0)
+        assert primitive((0, 0)) == (0, 0)
+        assert primitive((F(1, 2), F(-1, 3))) == (3, -2)
+        assert primitive(("3/4", 0, -1)) == (3, 0, -4)
+
+
+def _solve(rows, rhs):
+    """The unique solution of rows . x = rhs, or None (reference rref)."""
+    n = len(rows[0])
+    aug, pivots = rref([tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None  # singular, or inconsistent (a pivot in the last column)
+    return tuple(row[n] for row in aug)
+
+
+class TestDoubleDescriptionCrossCheck:
+    """Vertices and facets of random polytopes found without the double
+    description: every n-subset of the constraints solved exactly."""
+
+    def test_random_polytopes_in_dimensions_2_to_4(self):
+        rng = random.Random(7041)
+        checked = {2: 0, 3: 0, 4: 0}
+        for trial in range(60):
+            n = 2 + trial % 3
+            ineqs = []
+            for i in range(n):
+                e = [0] * n
+                e[i] = 1
+                ineqs.append((tuple(e), rng.randint(1, 4)))
+                ineqs.append((tuple(-x for x in e), rng.randint(0, 4)))
+            while len(ineqs) < 2 * n + (3 if n < 4 else 2):
+                a = tuple(rng.randint(-2, 2) for _ in range(n))
+                if any(a):
+                    ineqs.append((a, F(rng.randint(-2, 6), rng.randint(1, 2))))
+            P = Polyhedron.from_hrep(n, ineqs)
+
+            expected = set()
+            for subset in itertools.combinations(ineqs, n):
+                x = _solve([a for a, _ in subset], [b for _, b in subset])
+                if x is not None and all(
+                        sum(c * y for c, y in zip(a, x)) <= b for a, b in ineqs):
+                    expected.add(x)
+            assert set(P.vertices) == expected, ineqs
+            if not expected:
+                assert P.is_empty
+                continue
+            assert not P.rays and not P.lineality
+            vs = sorted(expected)
+            affine_dim = rank([tuple(y - z for y, z in zip(v, vs[0])) for v in vs[1:]])
+            assert P.dim == affine_dim, ineqs
+            if affine_dim < n:
+                continue
+            facets = set()
+            for a, b in ineqs:
+                on = [v for v in vs if sum(c * y for c, y in zip(a, v)) == b]
+                if on and rank([tuple(y - z for y, z in zip(v, on[0]))
+                                for v in on[1:]]) == n - 1:
+                    h = primitive(tuple(a) + (b,))
+                    facets.add((h[:-1], F(h[-1])))
+            ineqs_v, eqs_v = convex_hull(vs).hrep()
+            assert set(ineqs_v) == facets and not eqs_v, ineqs
+            assert len(ineqs_v) == len(facets)
+            checked[n] += 1
+        assert all(k >= 8 for k in checked.values()), checked
