@@ -2,7 +2,7 @@
 tropical polynomial map, with a definition-level oracle and Newton-polytope
 fan recovery."""
 
-from .geom import Polyhedron, Cone, convex_hull, is_dicritical_cone
+from .geom import Polyhedron, convex_hull, is_dicritical_cone
 from .tropical import TropicalPolynomial, TropicalMap, MINUS_INF
 from .subdivision import decomposition, regular_subdivision, CellComplex
 from .faces import delta0, enumerate_tuple_faces, TupleFace
@@ -11,7 +11,7 @@ from .oracle import in_tnp, grid_compare
 from .newton import recover_fan, RecoveredFan
 
 __all__ = [
-    "Polyhedron", "Cone", "convex_hull", "is_dicritical_cone",
+    "Polyhedron", "convex_hull", "is_dicritical_cone",
     "TropicalPolynomial", "TropicalMap", "MINUS_INF",
     "decomposition", "regular_subdivision", "CellComplex",
     "delta0", "enumerate_tuple_faces", "TupleFace",

@@ -377,6 +377,8 @@ def cmd_faces(args) -> int:
 
 
 def cmd_newton(args) -> int:
+    if (args.input is None) == (args.tnp is None):
+        raise InputError("newton needs exactly one of --input and --tnp")
     if args.tnp:
         parsed = load_output_doc(args.tnp)
         source = _EngineView(parsed["n"], parsed["tnp_pieces"])
@@ -511,11 +513,13 @@ def cmd_plot(args) -> int:
     if F.n != 2:
         print(f"plot: only dimension 2 is drawable, got {F.n}", file=sys.stderr)
         return EXIT_PLOT_DIM
-    s = tnp_set(F)
     window = None
     if args.window:
-        box = _parse_box(args.window, 2)
-        window = (box[0], box[1])
+        window = tuple(_parse_box(args.window, 2))
+        if any(lo >= hi for lo, hi in window):
+            raise InputError(f"window {args.window!r} needs lo < hi on "
+                             f"both axes")
+    s = tnp_set(F)
     y_overlay = None
     if args.point:
         y_overlay = _parse_point(args.point, 2)

@@ -26,7 +26,8 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .geom import DIM_CAP, Polyhedron, convex_hull, primitive
+from .geom import (DIM_CAP, Polyhedron, convex_hull,
+                   positive_coordinate_witness, primitive)
 from .subdivision import _build_factor_cells, _refine
 from .tropical import TropicalMap
 
@@ -164,7 +165,7 @@ def enumerate_tuple_faces(tup: PolytopeTuple) -> list:
         origin_members = frozenset(
             i for i, fc in enumerate(profile) if fc.has_level)
         degenerate = any(fc.has_level and not fc.argmax for fc in profile)
-        positive = bool(lineality) or any(x > 0 for r in rays for x in r)
+        positive = positive_coordinate_witness(closure) is not None
         keyed.append((key, witness, dim, tuple(fc.argmax for fc in profile),
                       origin_members, positive and not degenerate))
     keyed.sort(key=lambda e: e[0])

@@ -369,12 +369,6 @@ class HBuilder:
     def clone(self) -> "HBuilder":
         return HBuilder(self.n, self._dd.clone())
 
-    def add_ineq(self, normal, offset) -> None:
-        self._dd.add(_homog_ineq(normal, offset))
-
-    def add_eq(self, normal, offset) -> None:
-        self._dd.add(_homog_ineq(normal, offset), equality=True)
-
     def add_homog(self, hvec: IVec, equality: bool = False) -> None:
         self._dd.add(hvec, equality=equality)
 
@@ -412,7 +406,7 @@ class Polyhedron:
     canonical form, as homogenized integer data (see the module doc).
     """
 
-    __slots__ = ("n", "_hin", "_heq", "_given", "_points", "_rays", "_lins",
+    __slots__ = ("n", "_hin", "_heq", "_hgiven", "_points", "_rays", "_lins",
                  "_empty", "_dim", "_faces", "_vreduced")
 
     def __init__(self):
@@ -426,7 +420,7 @@ class Polyhedron:
         self.n = n
         self._hin = None      # homogenized inequality rows
         self._heq = None      # homogenized equality rows
-        self._given = None    # from_hrep: the caller's pairs, which hrep() returns
+        self._hgiven = False  # _hin/_heq are from_hrep's rows, not canonical
         self._points = None   # homogenized points (d, d p), sorted by p
         self._rays = None
         self._lins = None     # int_rref basis of the lineality space
@@ -440,16 +434,15 @@ class Polyhedron:
     def from_hrep(cls, n: int, inequalities=(), equalities=()) -> "Polyhedron":
         """Build from half-spaces (normal, offset) and equalities (normal, offset)."""
         self = cls._new(n)
-        given = ([], [])
-        for pairs, out in ((inequalities, given[0]), (equalities, given[1])):
+        rows = ([], [])
+        for pairs, out in ((inequalities, rows[0]), (equalities, rows[1])):
             for normal, offset in pairs:
-                normal = frac_vec(normal)
+                normal = tuple(normal)
                 if len(normal) != n:
                     raise GeometryError(f"constraint dimension {len(normal)} != {n}")
-                out.append((normal, Fraction(offset)))
-        self._given = given
-        self._hin = [_homog_ineq(a, b) for a, b in given[0]]
-        self._heq = [_homog_ineq(a, b) for a, b in given[1]]
+                out.append(_homog_ineq(normal, offset))
+        self._hin, self._heq = rows
+        self._hgiven = True
         return self
 
     @classmethod
@@ -470,8 +463,6 @@ class Polyhedron:
         self = cls._new(n)
         self._empty = True
         self._points, self._rays, self._lins = [], [], []
-        zero = tuple(Fraction(0) for _ in range(n))
-        self._given = ([(zero, Fraction(-1))], [])
         self._hin = [(-1,) + (0,) * n]
         self._heq = []
         self._dim = -1
@@ -504,8 +495,9 @@ class Polyhedron:
         return self
 
     def _sub(self, points, rays) -> "Polyhedron":
-        """The polyhedron spanned by some of this one's reduced generators and
-        its lineality, e.g. a face; the sublists keep the canonical order."""
+        """The polyhedron spanned by extreme homogenized points, some of this
+        one's reduced rays and its lineality, e.g. a face or the recession
+        cone; sublists of the reduced lists keep the canonical order."""
         face = Polyhedron._new(self.n)
         face._empty = False
         face._points, face._rays, face._lins = points, rays, self._lins
@@ -618,19 +610,25 @@ class Polyhedron:
         """Canonical (inequalities, equalities), both as (normal, offset) pairs.
 
         A polyhedron built by `from_hrep` returns the constraints it was
-        given, as Fractions, in the given order.
+        given, scaled to primitive integer rows and in the given order, until
+        `dual_description` replaces them by the canonical ones.
         """
-        if self._given is not None:
-            return list(self._given[0]), list(self._given[1])
         self._ensure_hrep()
         return ([_public_row(h) for h in self._hin],
                 [_public_row(h) for h in self._heq])
 
     def dual_description(self) -> "Polyhedron":
-        """Populate and canonicalize both representations; returns self."""
+        """Populate and canonicalize both representations; returns self.
+
+        The constraints given to `from_hrep` are dropped once the generators
+        are known, and the canonical ones are rebuilt from those.
+        """
         if not self.is_empty:
-            self._ensure_hrep()
             self._ensure_reduced_vrep()
+            if self._hgiven:
+                self._hin = self._heq = None
+                self._hgiven = False
+            self._ensure_hrep()
         return self
 
     @property
@@ -763,13 +761,14 @@ class Polyhedron:
         _, top, den = found
         return Fraction(top, s * den)
 
-    def recession_cone(self) -> "Cone":
+    def recession_cone(self) -> "Polyhedron":
+        """The recession cone, a polyhedron with the origin as its point."""
         if self.is_empty:
             raise GeometryError("empty polyhedron has no recession cone")
         self._ensure_reduced_vrep()
         # the recession cone is the x0 = 0 face of the homogenization, so
         # reduced polyhedron rays are its extreme rays already
-        return Cone(self.n, self._rays, self._lins, reduced=True)
+        return self._sub([(1,) + (0,) * self.n], self._rays)
 
     def affine_image(self, rows, consts) -> "Polyhedron":
         """Image under x -> (row_i . x + const_i); exact on all generators."""
@@ -888,99 +887,26 @@ def convex_hull(points: Sequence) -> Polyhedron:
     return Polyhedron.from_generators(n, pts).dual_description()
 
 
-# ---------------------------------------------------------------------------
-# Cones
-# ---------------------------------------------------------------------------
+def positive_coordinate_witness(p: Polyhedron) -> Optional[IVec]:
+    """A primitive direction of p's recession cone with a positive
+    coordinate, or None when that cone lies in the nonpositive orthant.
 
-class Cone:
-    """A rational polyhedral cone, stored by extreme generators.
-
-    Construction reduces arbitrary generating sets to a canonical one
-    (extreme rays modulo the lineality space, both in primitive integer
-    form), so value equality is set equality.
+    The orthant is closed under nonnegative combinations, so scanning the
+    generators decides it exactly: a ray with a positive entry, else the
+    first lineality direction or its negative.
     """
-
-    __slots__ = ("n", "rays", "lineality", "_poly")
-
-    def __init__(self, n: int, rays=(), lineality=(), reduced: bool = False):
-        """`reduced=True` promises the rays are already extreme modulo the
-        lineality span, skipping the polar round-trip."""
-        self.n = n
-        rays = [primitive(r) for r in rays if any(r)]
-        lins = [primitive(l) for l in lineality if any(l)]
-        if not reduced and (len(rays) > 1 or (rays and lins)):
-            # round-trip through the polar to drop hidden lineality and
-            # non-extreme rays
-            lin_star, rays_star = dd_constraints(n, lins, rays)
-            lins, rays = dd_generators(n, lin_star, rays_star)
-        lins, pivots = int_rref(lins)
-        rays = {_ireduce(reduce_mod(r, lins, pivots)) for r in rays}
-        self.rays = tuple(sorted(r for r in rays if any(r)))
-        self.lineality = tuple(lins)
-        self._poly = None
-
-    @property
-    def dim(self) -> int:
-        return len(_echelon(self.rays + self.lineality)[0])
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.rays and not self.lineality
-
-    def as_polyhedron(self) -> Polyhedron:
-        if self._poly is None:
-            self._poly = Polyhedron._from_vdata(
-                self.n, [(1,) + (0,) * self.n], list(self.rays), list(self.lineality))
-        return self._poly
-
-    def contains(self, v) -> bool:
-        return self.as_polyhedron().contains(v)
-
-    def intersect(self, other: "Cone") -> "Cone":
-        p = self.as_polyhedron().intersect(other.as_polyhedron())
-        return Cone(self.n, p.rays, p.lineality)
-
-    def has_positive_coordinate(self) -> bool:
-        """Does the cone contain a vector with a strictly positive coordinate?
-
-        Equivalent to not being contained in the nonpositive orthant, and the
-        orthant is closed under nonnegative combinations, so scanning the
-        generators decides it exactly: any ray with a positive entry, or any
-        nonzero lineality direction, is a witness.
-        """
-        if any(x > 0 for r in self.rays for x in r):
-            return True
-        return bool(self.lineality)
-
-    def positive_coordinate_witness(self) -> Optional[IVec]:
-        """A primitive generator with a positive coordinate, if any."""
-        for r in self.rays:
-            if any(x > 0 for x in r):
-                return r
-        for l in self.lineality:
-            if any(x > 0 for x in l):
-                return l
-            if any(x != 0 for x in l):
-                return vneg_int(l)
-        return None
-
-    def canonical_key(self):
-        return (self.rays, self.lineality)
-
-    def __eq__(self, other):
-        return isinstance(other, Cone) and self.n == other.n \
-            and self.canonical_key() == other.canonical_key()
-
-    def __hash__(self):
-        return hash((self.n, self.canonical_key()))
-
-    def __repr__(self):
-        return f"Cone(n={self.n}, rays={list(self.rays)}, lineality={list(self.lineality)})"
+    for r in p.rays:
+        if any(x > 0 for x in r):
+            return r
+    lins = p.lineality
+    if lins:
+        return lins[0] if any(x > 0 for x in lins[0]) else vneg_int(lins[0])
+    return None
 
 
-def is_dicritical_cone(c: Cone) -> bool:
+def is_dicritical_cone(c: Polyhedron) -> bool:
     """True iff the cone is not contained in the nonpositive orthant."""
-    return c.has_positive_coordinate()
+    return positive_coordinate_witness(c) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,18 @@ components of the complement.  The construction below rebuilds the fan:
 1. take the recession cone of every piece,
 2. cut R^n by every constraint hyperplane of those cones (a central
    arrangement refined enough that each recession cone is a union of
-   arrangement cells),
+   arrangement cells).  The arrangement is one refinement search of the
+   decomposition machinery: hyperplane a = a+ - a- is the corner locus of
+   the tropical binomial max(<a+, x>, <a-, x>), so every relatively open
+   cone of the arrangement is the cell of one argmax profile, found once,
 3. merge adjacent full-dimensional arrangement cones whose shared wall is
-   not inside the skeleton, and collect all faces of the merged cones.
+   not inside the skeleton (a wall ties one binomial, and its two
+   neighbours are the profiles that take either strict side instead), and
+   collect all faces of the merged cones.
 
-Counting cones by dimension gives the face-vector (the number of
+Cones are Polyhedrons with the origin as their point; `cones_by_dim` maps
+each dimension to the fan's cones of that dimension, sorted by canonical
+key.  Counting cones by dimension gives the face-vector (the number of
 j-dimensional polytope faces equals the number of (n-j)-dimensional cones),
 and the fan's minimal-plus-one-dimensional cones give the facet normals.
 Only the combinatorial type and slopes are recovered: edge lattice lengths
@@ -27,9 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geom import (Cone, Polyhedron, frac_vec, is_zero_vec, matrix_rank,
-                   primitive, vdot)
+from .geom import Polyhedron, frac_vec, is_zero_vec, primitive, vdot
 from .engine import TNPSet
+from .subdivision import _build_factor_cells, _refine
+from .tropical import MINUS_INF
 
 
 class FanError(ValueError):
@@ -41,7 +49,7 @@ class FanError(ValueError):
 class RecoveredFan:
     """A complete fan with face counts and facet slopes of the dual polytope."""
     n: int
-    cones_by_dim: dict              # dim -> sorted list of Cone
+    cones_by_dim: dict              # dim -> cones (Polyhedrons), sorted by key
     face_vector: tuple              # entry j counts cones of dimension n - j
     facet_normals: tuple            # primitive outer normals of the facets
     span_dim: int                   # dimension of the dual polytope
@@ -57,7 +65,7 @@ def _skeleton_cones(pieces: Sequence[Polyhedron]):
     seen = set()
     for p in pieces:
         c = p.recession_cone()
-        if c.is_trivial:
+        if c.dim == 0:
             continue
         key = c.canonical_key()
         if key not in seen:
@@ -66,46 +74,30 @@ def _skeleton_cones(pieces: Sequence[Polyhedron]):
     return cones
 
 
-def _cut_hyperplanes(cones: Sequence[Cone], n: int):
+def _cut_hyperplanes(cones: Sequence[Polyhedron]):
     normals = set()
     for c in cones:
-        ineqs, eqs = c.as_polyhedron().hrep()
-        for a, _ in ineqs:
-            v = primitive(a)
-            normals.add(max(v, tuple(-x for x in v)))
-        for a, _ in eqs:
+        ineqs, eqs = c.hrep()
+        for a, _ in ineqs + eqs:
             v = primitive(a)
             normals.add(max(v, tuple(-x for x in v)))
     return sorted(normals)
 
 
 def _arrangement(n: int, hyperplanes):
-    """Sign-vector cells of the central arrangement, as (signs, Cone) pairs."""
-    from .geom import HBuilder
-    cells = []
+    """The central arrangement of the hyperplanes as one refinement search.
 
-    def rec(i, builder, signs):
-        if i == len(hyperplanes):
-            poly = builder.to_polyhedron()
-            if poly.is_empty:
-                return
-            cells.append((signs, poly))
-            return
-        a = hyperplanes[i]
-        for s in (-1, 0, 1):
-            b = builder.clone()
-            if s == 0:
-                b.add_eq(a, 0)
-            elif s == 1:
-                b.add_ineq(tuple(-x for x in a), 0)
-            else:
-                b.add_ineq(a, 0)
-            if b.is_empty:
-                continue
-            rec(i + 1, b, signs + (s,))
-
-    rec(0, HBuilder(n), ())
-    return cells
+    Hyperplane a = a+ - a- (its positive and negative parts) is the corner
+    locus of the tropical binomial max(<a+, x>, <a-, x>), whose argmax cells
+    are the open sides a . x > 0 (a+ alone) and a . x < 0 (a- alone) and
+    the tie a . x = 0; they are built outside the shared factor-cell cache.
+    Returns the (profile, closure) pairs of the arrangement's relatively
+    open cones: the search prunes a strict side that is tight on its cone,
+    so each cone comes once.
+    """
+    binomials = [((tuple(max(x, 0) for x in a), 0),
+                  (tuple(max(-x, 0) for x in a), 0)) for a in hyperplanes]
+    return _refine(n, [_build_factor_cells(n, b, MINUS_INF) for b in binomials])
 
 
 def recover_fan(s: TNPSet) -> RecoveredFan:
@@ -122,15 +114,16 @@ def recover_fan(s: TNPSet) -> RecoveredFan:
         # all pieces bounded: impossible for a corner locus
         raise FanError("no unbounded piece: the set is not a corner locus")
 
-    hyperplanes = _cut_hyperplanes(skeleton, n)
-    cells = _arrangement(n, hyperplanes)
+    cells = _arrangement(n, _cut_hyperplanes(skeleton))
 
-    regions = [(signs, poly) for signs, poly in cells if poly.dim == n]
-    walls = [(signs, poly) for signs, poly in cells if poly.dim == n - 1]
+    regions = [(profile, poly) for profile, poly in cells if poly.dim == n]
+    walls = [(profile, poly) for profile, poly in cells if poly.dim == n - 1]
     if not regions:
         raise FanError("skeleton spans no full-dimensional complement")
 
-    index = {signs: i for i, (signs, _) in enumerate(regions)}
+    index = {profile: i for i, (profile, _) in enumerate(regions)}
+    # per binomial, the strict sides that full-dimensional cones take
+    sides = [set(column) for column in zip(*(p for p, _ in regions))]
     parent = list(range(len(regions)))
 
     def find(i):
@@ -142,43 +135,38 @@ def recover_fan(s: TNPSet) -> RecoveredFan:
     def union(i, j):
         parent[find(i)] = find(j)
 
-    skel_polys = [c.as_polyhedron() for c in skeleton]
-    for signs, wall in walls:
+    for profile, wall in walls:
         probe = wall.relative_interior_point()
-        if any(sp.contains(probe) for sp in skel_polys):
+        if any(sp.contains(probe) for sp in skeleton):
             continue  # wall lies inside the skeleton: keep the separation
-        zero_axes = [k for k, sg in enumerate(signs) if sg == 0]
-        neighbors = []
-        for k in zero_axes:
-            for flip in (-1, 1):
-                ns = tuple(flip if j == k else sg for j, sg in enumerate(signs))
-                if ns in index:
-                    neighbors.append(index[ns])
-        if len(zero_axes) == 1 and len(neighbors) == 2:
-            union(neighbors[0], neighbors[1])
+        # the hyperplanes are distinct, so the wall ties exactly one
+        # binomial, and its two neighbours take either strict side of it
+        k = next(k for k, fc in enumerate(profile) if fc.bends)
+        i, j = (index[profile[:k] + (fc,) + profile[k + 1:]] for fc in sides[k])
+        union(i, j)
 
     groups = {}
-    for i, (signs, poly) in enumerate(regions):
+    for i in range(len(regions)):
         groups.setdefault(find(i), []).append(i)
     roots = sorted(groups)
     group_of = {i: roots.index(find(i)) for i in range(len(regions))}
 
+    origin = (0,) * n
     maximal = []
     for root in roots:
         rays, lins = [], []
         for i in groups[root]:
             rays.extend(regions[i][1].rays)
             lins.extend(regions[i][1].lineality)
-        maximal.append(Cone(n, rays, lins))
+        maximal.append(Polyhedron.from_generators(n, [origin], rays, lins))
 
     # fan validity: each merged cone must be exactly the union of its atomic
     # regions; a conic hull capturing a foreign region means the complement
     # components are not convex, so the input is not a corner locus
     probes = [poly.relative_interior_point() for _, poly in regions]
     for gi, cone in enumerate(maximal):
-        cp = cone.as_polyhedron()
         for i, probe in enumerate(probes):
-            if group_of[i] != gi and cp.contains(probe):
+            if group_of[i] != gi and cone.contains(probe):
                 raise FanError(
                     "complement regions do not merge into convex cones: "
                     "the set is not the corner locus of a tropical polynomial")
@@ -186,7 +174,7 @@ def recover_fan(s: TNPSet) -> RecoveredFan:
     cones = {}
     for cone in maximal:
         cones[cone.canonical_key()] = cone
-        for f in _cone_faces(cone):
+        for f in cone.proper_faces():
             cones[f.canonical_key()] = f
     by_dim = {}
     for cone in cones.values():
@@ -204,14 +192,14 @@ def recover_fan(s: TNPSet) -> RecoveredFan:
             if inter.canonical_key() not in face_keys.get(inter.dim, set()):
                 raise FanError("cone intersections are not common faces")
 
-    # common lineality = lineality of any maximal cone (all share it)
+    # common lineality = lineality of any maximal cone (all share it); the
+    # basis is in reduced echelon form, so its length is its rank
     W = maximal[0].lineality
-    w_dim = matrix_rank([frac_vec(l) for l in W]) if W else 0
-    span_dim = n - w_dim
+    span_dim = n - len(W)
 
     face_vector = tuple(len(by_dim.get(n - j, [])) for j in range(n))
 
-    facet_cone_dim = w_dim + 1
+    facet_cone_dim = len(W) + 1
     facet_normals = []
     for cone in by_dim.get(facet_cone_dim, []):
         if len(cone.rays) != 1:
@@ -219,16 +207,9 @@ def recover_fan(s: TNPSet) -> RecoveredFan:
         facet_normals.append(_orth_project(cone.rays[0], W))
     facet_normals = tuple(sorted(facet_normals))
 
-    span_normals = tuple(sorted(primitive(l) for l in W))
+    span_normals = tuple(sorted(W))
     return RecoveredFan(n, by_dim, face_vector, facet_normals,
                         span_dim, span_normals)
-
-
-def _cone_faces(cone: Cone):
-    faces = []
-    for f in cone.as_polyhedron().proper_faces():
-        faces.append(Cone(cone.n, f.rays, f.lineality, reduced=True))
-    return faces
 
 
 def _orth_project(ray, lineality):

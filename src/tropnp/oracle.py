@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .geom import frac_vec
+from .geom import frac_vec, positive_coordinate_witness
 from .subdivision import decomposition
 from .tropical import TropicalMap
 from .engine import TNPSet, parallel_map
@@ -38,8 +38,7 @@ def in_tnp(F: TropicalMap, y) -> OracleVerdict:
         raise ValueError("point dimension mismatch")
     cx = decomposition(F.term_maps(), y, n=F.n, bend_only=True)
     for cell in cx.cells:
-        rec = cell.recession_cone()
-        witness = rec.positive_coordinate_witness()
+        witness = positive_coordinate_witness(cell.closure)
         if witness is not None:
             return OracleVerdict(True, cell.id, tuple(witness))
     return OracleVerdict(False)

@@ -148,7 +148,7 @@ class Cell:
     are built on first read."""
 
     __slots__ = ("id", "closure", "dim", "profile", "argmax", "level_flags",
-                 "_summands", "_dual", "_rec")
+                 "_summands", "_dual")
 
     def __init__(self, cid, closure, profile):
         self.id = cid
@@ -157,7 +157,7 @@ class Cell:
         self.profile = profile
         self.argmax = tuple(fc.argmax for fc in profile)
         self.level_flags = tuple(fc.has_level for fc in profile)
-        self._summands = self._dual = self._rec = None
+        self._summands = self._dual = None
 
     @property
     def summands(self):
@@ -175,11 +175,6 @@ class Cell:
             self._dual = reduce(Polyhedron.minkowski_sum,
                                 self.summands).dual_description()
         return self._dual
-
-    def recession_cone(self):
-        if self._rec is None:
-            self._rec = self.closure.recession_cone()
-        return self._rec
 
     def _differences(self):
         """Per factor, the dual points' differences to the first one."""
@@ -388,7 +383,7 @@ def duality_violations(cx: CellComplex) -> list:
         dual_dirs = _direction_span(cell.dual)
         if any(vdot(u, v) != 0 for u in cell_dirs for v in dual_dirs):
             problems.append((cell.id, "cell and dual spans not orthogonal"))
-        rec = cell.recession_cone()
+        rec = cell.closure.recession_cone()
         for normal, facet in facets:
             on_facet = facet.contains_polyhedron(cell.dual)
             recedes = rec.contains(normal)

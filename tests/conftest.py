@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropnp.geom import Cone, primitive
+from tropnp.geom import HBuilder, Polyhedron, primitive
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -21,8 +21,35 @@ def normal_cone_of_face(poly, active_facets):
     """Outer normal cone of a face of `poly`, spanned by the normals of the
     facets through it plus the equality normals."""
     ineqs, eqs = poly.hrep()
-    return Cone(poly.n, [primitive(ineqs[i][0]) for i in active_facets],
-                [primitive(a) for a, _ in eqs])
+    return Polyhedron.from_generators(
+        poly.n, [(0,) * poly.n], [primitive(ineqs[i][0]) for i in active_facets],
+        [primitive(a) for a, _ in eqs])
+
+
+def reference_arrangement(n, hyperplanes):
+    """Sign-vector cells of the central arrangement, as (signs, closure)
+    pairs: sign +1 is the closed side a . x >= 0, -1 is a . x <= 0 and 0 the
+    hyperplane, so a cone comes once for every sign vector describing it."""
+    cells = []
+
+    def rec(i, builder, signs):
+        if i == len(hyperplanes):
+            poly = builder.to_polyhedron()
+            if poly.is_empty:
+                return
+            cells.append((signs, poly))
+            return
+        a = hyperplanes[i]
+        for s in (-1, 0, 1):
+            b = builder.clone()
+            b.add_homog((0,) + tuple(-x if s < 0 else x for x in a),
+                        equality=s == 0)
+            if b.is_empty:
+                continue
+            rec(i + 1, b, signs + (s,))
+
+    rec(0, HBuilder(n), ())
+    return cells
 
 
 def restrict(p, face):

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -95,8 +96,15 @@ MAP2D = fixture_path("map2d.json")
     (["oracle", "--input", MAP2D, "--grid", "--res=0"], ["--res"]),
     (["oracle", "--input", MAP2D, "--grid", "--res=-3", "--box=0,1"],
      ["--res"]),
+    (["newton"], ["--input", "--tnp"]),
+    (["newton", "--input", MAP2D, "--tnp", MAP2D], ["--input", "--tnp"]),
+    (["plot", "--input", MAP2D, "--svg", os.devnull, "--window", "0,0;0,0"],
+     ["window", "0,0;0,0"]),
+    (["plot", "--input", MAP2D, "--svg", os.devnull, "--window", "1,0;1,0"],
+     ["window", "1,0;1,0"]),
 ], ids=["newton-tnp-on-an-input", "against-an-input", "res-zero",
-        "res-negative"])
+        "res-negative", "newton-without-a-source", "newton-with-two-sources",
+        "plot-empty-window", "plot-reversed-window"])
 def test_refused_arguments_exit_1_with_one_line(capsys, argv, names):
     code, out, err = run(capsys, *argv)
     assert code == 1 and not out
@@ -178,6 +186,21 @@ class TestComputeCommand:
                          "--product", "--output", str(out))
         assert code == 0
         assert json.loads(out.read_text())["tnp"]["assembly"] == "product"
+
+    def test_product_pieces_carry_the_canonical_constraints(self, tmp_path,
+                                                            capsys):
+        # the product closure of this map equals the staircase one, so its
+        # pieces, inequality and equality rows included, must be the same
+        pieces = {}
+        for variant in ("--staircase", "--product"):
+            out = tmp_path / f"{variant[2:]}.json"
+            code, _, _ = run(capsys, "compute", "--input",
+                             fixture_path("map3d_product.json"), variant,
+                             "--output", str(out))
+            assert code == 0
+            pieces[variant] = json.loads(out.read_text())["tnp"]["pieces"]
+        assert pieces["--staircase"]
+        assert pieces["--product"] == pieces["--staircase"]
 
     def test_transversality_violation_exits_2(self, tmp_path, capsys):
         # the same curve twice overlaps itself: nothing is transversal

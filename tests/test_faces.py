@@ -23,7 +23,8 @@ def _reference_flags(members, cone):
     inside = frozenset(i for i, m in enumerate(members) if m.contains(origin))
     degenerate = any(m.dim == 0 and m.contains(origin) for m in members)
     everywhere = len(inside) == len(members)
-    return (cone.has_positive_coordinate() and not degenerate, everywhere,
+    positive = bool(cone.lineality) or any(x > 0 for r in cone.rays for x in r)
+    return (positive and not degenerate, everywhere,
             bool(inside), bool(inside) and not everywhere, inside)
 
 

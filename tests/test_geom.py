@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropnp.geom import (Cone, GeometryError, Polyhedron, convex_hull,
+from tropnp.geom import (GeometryError, Polyhedron, convex_hull,
                          covered_by_union, int_rref, is_dicritical_cone,
-                         matrix_rank, primitive, reduce_mod, union_equal)
+                         matrix_rank, positive_coordinate_witness, primitive,
+                         reduce_mod, union_equal)
 
 from conftest import rank, reduce_modulo, rref
 
@@ -99,18 +100,27 @@ class TestFaceInDirection:
         assert p.face_in_direction((-1, 0)) is None
 
 
+def cone(rays=(), lineality=()):
+    """The plane cone spanned by rays and lineality, origin as its point."""
+    return Polyhedron.from_generators(2, [(0, 0)], rays, lineality)
+
+
 class TestRecessionCone:
     def test_polytope_is_trivial(self):
-        assert convex_hull([(0, 0), (1, 0), (0, 1)]).recession_cone().is_trivial
+        c = convex_hull([(0, 0), (1, 0), (0, 1)]).recession_cone()
+        assert not c.rays and not c.lineality
+        assert c.dim == 0
 
     def test_halfplane(self):
         c = Polyhedron.from_hrep(2, [((1, 0), 0)]).recession_cone()
-        assert c.rays == ((-1, 0),)
-        assert c.lineality == ((0, 1),)
+        assert c.rays == [(-1, 0)]
+        assert c.lineality == [(0, 1)]
+        assert c.vertices == [(0, 0)]
 
     def test_halfline(self):
         c = Polyhedron.from_generators(2, [(3, 1)], rays=[(1, -2)]).recession_cone()
-        assert c.rays == ((1, -2),)
+        assert c.rays == [(1, -2)]
+        assert c == cone([(1, -2)])
 
     def test_empty_errors(self):
         with pytest.raises(GeometryError):
@@ -119,19 +129,28 @@ class TestRecessionCone:
 
 class TestDicriticalCone:
     def test_examples(self):
-        assert is_dicritical_cone(Cone(2, [(1, -2)]))
-        assert not is_dicritical_cone(Cone(2, [(-1, 0)]))
-        assert not is_dicritical_cone(Cone(2, []))
+        assert is_dicritical_cone(cone([(1, -2)]))
+        assert not is_dicritical_cone(cone([(-1, 0)]))
+        assert not is_dicritical_cone(cone())
 
     def test_scaling_invariance(self):
         for r in [(1, -2), (-3, -1), (0, -7), (2, 5)]:
             for k in (1, 2, 17):
                 scaled = tuple(k * x for x in r)
-                assert (is_dicritical_cone(Cone(2, [r]))
-                        == is_dicritical_cone(Cone(2, [scaled])))
+                assert (is_dicritical_cone(cone([r]))
+                        == is_dicritical_cone(cone([scaled])))
 
     def test_lineality_always_dicritical(self):
-        assert is_dicritical_cone(Cone(2, [], [(0, -1)]))
+        assert is_dicritical_cone(cone([], [(0, -1)]))
+
+    def test_witness_prefers_a_ray_then_the_lineality(self):
+        # rays are reduced modulo the lineality: (1, -2) becomes (1, 0)
+        assert positive_coordinate_witness(cone([(1, -2)], [(0, 1)])) == (1, 0)
+        assert positive_coordinate_witness(cone([(-1, 0)], [(0, -1)])) == (0, 1)
+        assert positive_coordinate_witness(cone([(-1, 0), (0, -1)])) is None
+        # a polyhedron's witness is read off its recession cone
+        halfline = Polyhedron.from_generators(2, [(3, 1)], rays=[(2, -4)])
+        assert positive_coordinate_witness(halfline) == (1, -2)
 
 
 class TestBasicOps:
@@ -292,13 +311,13 @@ class TestIntegerElimination:
             assert primitive(got) == primitive(want), (rows, v)
             assert all(got[c] == 0 for c in pivots)
 
-            # the same reduction inside the Polyhedron and Cone constructors
+            # the same reduction of points and rays inside Polyhedron
             p = Polyhedron.from_generators(cols, [v], [], rows)
             assert p.lineality == [primitive(r) for r in ref_rows]
             assert p.vertices == [want]
             assert p.dim == len(ref_rows)
-            c = Cone(cols, [v], rows, reduced=True)
-            assert c.rays == ((primitive(want),) if any(want) else ())
+            c = Polyhedron.from_generators(cols, [(0,) * cols], [v], rows)
+            assert c.rays == ([primitive(want)] if any(want) else [])
             assert c.dim == rank(list(rows) + [v])
         assert deficient > 50
 

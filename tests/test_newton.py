@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from tropnp.engine import TNPPiece, TNPSet, tnp_set
-from tropnp.geom import Polyhedron, convex_hull
-from tropnp.newton import FanError, recover_fan
-from tropnp.subdivision import corner_locus_pieces
+from tropnp.geom import Polyhedron, convex_hull, primitive
+from tropnp.newton import FanError, _arrangement, recover_fan
+from tropnp.subdivision import corner_locus_pieces, decomposition
+from tropnp.tropical import MINUS_INF
 
-from conftest import normal_cone_of_face
+from conftest import normal_cone_of_face, reference_arrangement
 
 F = Fraction
 
@@ -84,12 +85,34 @@ class TestAgainstIndependentNormalFan:
             done += 1
             fan = fan_of_corner_locus(terms, 2)
             # active support: the terms that attain the maximum somewhere
-            hull_pts = sorted(_active_support(terms))
+            hull_pts = sorted(_active_support(terms, 2))
             expected = normal_fan_keys(hull_pts)
             got = {c.canonical_key()
                    for cones in fan.cones_by_dim.values() for c in cones
                    if c.dim > 0}
             assert got == expected
+
+    def test_random_tropical_surfaces(self):
+        rng = random.Random(20261019)
+        done = 0
+        while done < 40:
+            m = rng.randint(3, 6)
+            support = set()
+            while len(support) < m:
+                support.add(tuple(rng.randint(0, 2) for _ in range(3)))
+            terms = {p: F(rng.randint(-9, 9)) for p in sorted(support)}
+            if not corner_locus_pieces(terms, 3):
+                continue  # everything dominated by one term
+            done += 1
+            fan = fan_of_corner_locus(terms, 3)
+            expected = normal_fan_keys(sorted(_active_support(terms, 3)))
+            got = {c.canonical_key()
+                   for cones in fan.cones_by_dim.values() for c in cones
+                   if c.dim > 0}
+            assert got == expected, terms
+            if fan.span_dim == 3:
+                v, e, f = fan.face_vector
+                assert v - e + f == 2, terms
 
     def test_euler_relation_in_2d(self, map2d):
         fan = recover_fan(tnp_set(map2d))
@@ -105,12 +128,48 @@ class TestAgainstIndependentNormalFan:
         assert v >= 4 and f >= 4
 
 
-def _active_support(terms):
+def _active_support(terms, n):
     """Support points that attain the maximum somewhere."""
-    from tropnp.subdivision import decomposition
-    from tropnp.tropical import MINUS_INF
-    cx = decomposition([terms], [MINUS_INF], n=2)
+    cx = decomposition([terms], [MINUS_INF], n=n)
     active = set()
     for c in cx.cells:
         active |= set(c.argmax[0])
     return active
+
+
+def _random_hyperplanes(rng, n, count):
+    """`count` distinct primitive normals, entries in [-2, 2], oriented as
+    recover_fan orients them."""
+    normals = set()
+    while len(normals) < count:
+        v = primitive(tuple(rng.randint(-2, 2) for _ in range(n)))
+        if any(v):
+            normals.add(max(v, tuple(-x for x in v)))
+    return sorted(normals)
+
+
+def _signs(hyperplanes, profile):
+    """The sign vector of an arrangement profile: 0 on a tie, +1 where
+    a+ alone attains max(<a+, x>, <a-, x>), so a . x > 0, else -1."""
+    signs = []
+    for a, fc in zip(hyperplanes, profile):
+        up = tuple(max(x, 0) for x in a)
+        signs.append(0 if fc.bends else 1 if fc.argmax == {up} else -1)
+    return tuple(signs)
+
+
+class TestArrangement:
+    def test_cells_against_the_sign_vector_reference(self):
+        rng = random.Random(20261020)
+        for trial in range(100):
+            n = 2 + trial % 2
+            hyperplanes = _random_hyperplanes(rng, n, rng.randint(2, 6))
+            cells = _arrangement(n, hyperplanes)
+            keys = [closure.canonical_key() for _, closure in cells]
+            assert len(set(keys)) == len(keys), hyperplanes
+
+            ref = reference_arrangement(n, hyperplanes)
+            assert set(keys) == {poly.canonical_key() for _, poly in ref}
+            ref_cells = {(signs, poly.canonical_key()) for signs, poly in ref}
+            for (profile, _), key in zip(cells, keys):
+                assert (_signs(hyperplanes, profile), key) in ref_cells

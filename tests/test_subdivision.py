@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropnp.geom import Cone, Polyhedron, _homog_ineq, convex_hull, vdot, vsub
+from tropnp.geom import Polyhedron, _homog_ineq, convex_hull, vdot, vsub
 from tropnp.subdivision import (FactorCell, MixedSubdivision,
                                 corner_locus_pieces, decomposition,
                                 duality_violations, factor_cells,
@@ -94,15 +94,15 @@ class TestPlaneCurvePairComplex:
         # the two corner loci both contain a line of direction (1,-2); the
         # complex has exactly two 1-cells receding along that ray alone, and
         # the strip between them contributes a 2-cell with the same recession
-        ray = Cone(2, [(1, -2)])
+        ray = Polyhedron.from_generators(2, [(0, 0)], [(1, -2)])
         one_cells = [c for c in xi.cells if c.dim == 1
-                     and c.recession_cone() == ray]
+                     and c.closure.recession_cone() == ray]
         two_cells = [c for c in xi.cells if c.dim == 2
-                     and c.recession_cone() == ray]
+                     and c.closure.recession_cone() == ray]
         assert len(one_cells) == 2
         assert len(two_cells) == 1
         wider = [c for c in xi.cells if c.dim == 2
-                 and c.recession_cone().contains((1, -2))]
+                 and c.closure.recession_cone().contains((1, -2))]
         assert len(wider) >= 3
 
     def test_mixed_subdivision_is_inclusion_reversing(self, xi):
