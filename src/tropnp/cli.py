@@ -107,10 +107,18 @@ def parse_input_spec(doc: dict):
     return TropicalMap(components), notices
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file; undecodable bytes name the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: {exc}") from exc
+
+
 def load_input(path: str):
     """parse_input_spec of a file; errors name the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
         return parse_input_spec(json.loads(text))
     except (InputError, json.JSONDecodeError) as exc:
@@ -153,13 +161,22 @@ def poly_from_json(doc: dict, n: int) -> Polyhedron:
 
 
 def faces_json(faces) -> list:
+    # member faces are shared between tuple-faces: one entry per polyhedron
+    members = {}
+
+    def member_json(m):
+        entry = members.get(id(m))
+        if entry is None:
+            entry = members[id(m)] = poly_json(m)
+        return entry
+
     out = []
     for f in faces:
         out.append({
             "id": f.id,
             "witness_normal": [int(x) for x in f.witness_normal],
             "dim": f.dim,
-            "members": [poly_json(m) for m in f.members],
+            "members": [member_json(m) for m in f.members],
             "dicritical": f.dicritical,
             "origin": f.origin,
             "pre_origin": f.pre_origin,
@@ -194,8 +211,53 @@ def fan_json(fan) -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_SCALAR_TEXT = {str: _encode_str, int: int.__repr__,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda _: "null"}
+
+
+def _json_text(obj, depth: int, memo: dict) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` at nesting `depth`, for
+    dicts with str keys, lists, str, int, bool and None; the text of a
+    container is kept in `memo` by (id, depth), so a shared one is encoded
+    once."""
+    scalar = _SCALAR_TEXT.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    kind = type(obj)
+    if kind is not dict and kind is not list:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    key = (id(obj), depth)
+    text = memo.get(key)
+    if text is not None:
+        return text
+    if not obj:
+        text = "{}" if kind is dict else "[]"
+    else:
+        if kind is dict:
+            keys = sorted(obj)
+            if any(type(k) is not str for k in keys):
+                raise TypeError("document keys must be str")
+            values = [obj[k] for k in keys]
+        else:
+            values = obj
+        get = _SCALAR_TEXT.get
+        items = [enc(v) if (enc := get(type(v))) else
+                 _json_text(v, depth + 1, memo) for v in values]
+        if kind is dict:
+            items = [f"{_encode_str(k)}: {t}" for k, t in zip(keys, items)]
+        sep = "\n" + "  " * (depth + 1)
+        text = (("{" if kind is dict else "[") + sep + ("," + sep).join(items)
+                + "\n" + "  " * depth + ("}" if kind is dict else "]"))
+    memo[key] = text
+    return text
+
+
 def dump_doc(doc: dict, path=None) -> str:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Write the canonical text of a document: the text of
+    `json.dumps(doc, indent=2, sort_keys=True)` and a newline."""
+    text = _json_text(doc, 0, {}) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -228,8 +290,7 @@ def parse_output_doc(text: str) -> dict:
 
 def load_output_doc(path: str) -> dict:
     """parse_output_doc of a file; errors name the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
         return parse_output_doc(text)
     except (InputError, json.JSONDecodeError) as exc:

@@ -3,17 +3,18 @@
 For each component support A_i the extended polytope adjoins the origin:
 conv(A_i u {0}), and Delta0 is their Minkowski sum.  A tuple-face picks one
 face per member so that the Minkowski sum of the picks is a face of Delta0.
-The tuple-faces are the cones of the normal fan of Delta0, which are the
-cells of one decomposition: the trivially valued map max(<a, x> : a in A_i)
-with the origin as a level pseudo-term at level 0.  A cell's argmax profile
-names, per member, the support points on the member face and whether the
-origin is on it; its closure is the outer normal cone.  Classification flags
-are read off the profile and the closure:
+The tuple-faces are therefore the faces of Delta0, read off its canonical
+H-representation: their vertex sets are the ANDs of the facet incidence
+masks, and a face's closed outer normal cone is spanned by the normals of
+the facets containing it plus the equality normals (`Polyhedron.normal_fan`).
+A witness normal in the relative interior of that cone exposes the face on
+Delta0 and the picked face on every member, so the per-member support
+points and origin flags are read off the witness.  Classification flags:
 
 * origin: every member face contains the origin,
 * pre_origin: some member face contains the origin,
 * dicritical: the normal cone reaches a vector with a strictly positive
-  coordinate (a closure ray has one, or the lineality is nonzero) and no
+  coordinate (a cone ray has one, or the lineality is nonzero) and no
   member face degenerates to the origin vertex.
 
 The member faces and the summed face are polytopes built only when read.
@@ -28,7 +29,6 @@ from typing import Sequence
 
 from .geom import (DIM_CAP, Polyhedron, convex_hull,
                    positive_coordinate_witness, primitive)
-from .subdivision import _build_factor_cells, _refine
 from .tropical import TropicalMap
 
 
@@ -134,40 +134,40 @@ def enumerate_tuple_faces(tup: PolytopeTuple) -> list:
     """All tuple-faces: one per proper face of the summed polytope, plus the
     improper face when the sum is lower-dimensional.
 
-    The tuple-faces are the cells of the decomposition of the trivially
-    valued map with the origin as level pseudo-term (see the module doc).
-    The witness normal is the sum of the closure's rays, which lies in the
-    relative interior of the normal cone, or a lineality direction when the
-    cone has no rays.  The cell that is only the lineality is the improper
-    face: for a full-dimensional sum its normal cone is trivial and it can
-    never matter, but when all supports degenerate onto a common
-    lower-dimensional subspace its normal cone is the orthogonal complement
-    and it carries genuine contributions, so it is kept.
+    The faces and their closed outer normal cones are read off the sum's
+    facets (`Polyhedron.normal_fan`).  The witness normal is the sum of the
+    cone's rays, which lies in its relative interior, or a lineality
+    direction when the cone has no rays.  The improper face of a
+    full-dimensional sum has a trivial normal cone and can never matter,
+    but when all supports degenerate onto a common lower-dimensional
+    subspace its normal cone is the orthogonal complement and it carries
+    genuine contributions, so it is kept.  Each member's argmax set and
+    origin flag come from the witness: with t the member's largest value
+    <w, a> over its support, the support points at t are on the member face
+    when t >= 0, and the origin is on it when t <= 0.
 
     Face ids follow (dimension of the summed face, its sorted vertices).
-    The level-0 factor cells are read once per map and are built outside
-    the shared factor-cell cache.
     """
     n = tup.n
-    factor_lists = [_build_factor_cells(n, tuple((a, 0) for a in sup), 0)
-                    for sup in tup.supports]
     verts = [tuple(int(x) for x in v) for v in tup.sum.vertices]
     keyed = []
-    for profile, closure in _refine(n, factor_lists):
-        rays, lineality = closure.rays, closure.lineality
-        if not rays and not lineality:
-            continue  # the improper face of a full-dimensional sum
-        witness = primitive(map(sum, zip(*rays)) if rays else lineality[0])
-        values = [sum(map(mul, witness, v)) for v in verts]
-        top = max(values)
-        dim = n - closure.dim
-        key = (dim, tuple(v for v, x in zip(verts, values) if x == top))
-        origin_members = frozenset(
-            i for i, fc in enumerate(profile) if fc.has_level)
-        degenerate = any(fc.has_level and not fc.argmax for fc in profile)
-        positive = positive_coordinate_witness(closure) is not None
-        keyed.append((key, witness, dim, tuple(fc.argmax for fc in profile),
-                      origin_members, positive and not degenerate))
+    for mask, cone in tup.sum.normal_fan():
+        rays = cone.rays
+        witness = primitive(map(sum, zip(*rays)) if rays else cone.lineality[0])
+        dim = n - cone.dim
+        key = (dim, tuple(v for k, v in enumerate(verts) if mask >> k & 1))
+        argmax, origin_members = [], set()
+        for i, sup in enumerate(tup.supports):
+            values = [sum(map(mul, witness, a)) for a in sup]
+            top = max(values, default=0)
+            argmax.append(frozenset(a for a, x in zip(sup, values) if x == top)
+                          if top >= 0 else frozenset())
+            if top <= 0:
+                origin_members.add(i)
+        degenerate = any(not argmax[i] for i in origin_members)
+        positive = positive_coordinate_witness(cone) is not None
+        keyed.append((key, witness, dim, tuple(argmax),
+                      frozenset(origin_members), positive and not degenerate))
     keyed.sort(key=lambda e: e[0])
     return [TupleFace(fid, *fields, tup=tup)
             for fid, (_, *fields) in enumerate(keyed)]

@@ -176,6 +176,18 @@ def matrix_rank(rows) -> int:
     return len(_echelon([primitive(r) for r in rows])[0])
 
 
+def mask_closure(seeds: Iterable[int], masks: Sequence[int]) -> set:
+    """Every nonzero AND of a seed with any number of `masks`, the nonzero
+    seeds included: with the facet incidence masks of a polyhedron as both,
+    the generator masks of its faces."""
+    found = set(seeds) - {0}
+    frontier = found
+    while frontier:
+        frontier = {s & m for s in frontier for m in masks} - found - {0}
+        found |= frontier
+    return found
+
+
 def _dehomog(p: IVec) -> Vec:
     """The rational point of a homogenized point (d, d x)."""
     d = p[0]
@@ -800,49 +812,69 @@ class Polyhedron:
         """All nonempty faces F with F != P, including the facets and vertices."""
         return [f for f, _ in self.proper_faces_with_active()]
 
+    def _facet_masks(self):
+        """(reduced generators, points then (0, ray), and per canonical
+        inequality row the bitmask of the generators on its hyperplane)."""
+        self._ensure_reduced_vrep()
+        self._ensure_hrep()
+        gens = self._points + [(0,) + r for r in self._rays]
+        return gens, [sum(1 << k for k, g in enumerate(gens) if vdot(h, g) == 0)
+                      for h in self._hin]
+
     def proper_faces_with_active(self):
         """Proper faces paired with the indices of the facets containing them."""
         if self.is_empty:
             return []
         if self._faces is not None:
             return list(self._faces)
-        self._ensure_reduced_vrep()
-        self._ensure_hrep()
+        gens, masks = self._facet_masks()
         npts = len(self._points)
-        gens = self._points + [(0,) + r for r in self._rays]
-        incidence = [frozenset(i for i, g in enumerate(gens) if vdot(h, g) == 0)
-                     for h in self._hin]
-        all_gens = frozenset(range(len(gens)))
-        seen = {}
-        frontier = {all_gens}
-        while frontier:
-            new_frontier = set()
-            for gset in frontier:
-                for inc in incidence:
-                    sub = gset & inc
-                    if sub and sub != all_gens and sub not in seen:
-                        seen[sub] = None
-                        new_frontier.add(sub)
-            frontier = new_frontier
+        point_bits = (1 << npts) - 1
         faces = []
-        for gset in seen:
-            # keep only generator sets that actually are faces: they must be
-            # exactly the generators active on their supporting facet set
-            facets = [i for i, inc in enumerate(incidence) if gset <= inc]
-            exact = all_gens
-            for i in facets:
-                exact = exact & incidence[i]
-            if exact != gset:
+        # the faces are the ANDs of facet masks that hold a point
+        for mask in mask_closure(masks, masks):
+            if not mask & point_bits:
                 continue
-            idx = sorted(gset)
-            pts = [gens[k] for k in idx if k < npts]
-            if not pts:
-                continue
-            face = self._sub(pts, [gens[k][1:] for k in idx if k >= npts])
-            faces.append((face, tuple(facets)))
+            idx = [k for k in range(len(gens)) if mask >> k & 1]
+            face = self._sub([gens[k] for k in idx if k < npts],
+                             [gens[k][1:] for k in idx if k >= npts])
+            faces.append((face, tuple(i for i, m in enumerate(masks)
+                                      if mask & m == mask)))
         faces.sort(key=lambda fa: (fa[0].dim, fa[0].canonical_key()))
         self._faces = faces
         return list(faces)
+
+    def normal_fan(self) -> list:
+        """(vertex mask, closed outer normal cone) of every face of a
+        polytope, bit k standing for `vertices[k]`; the improper face comes
+        last when it has a nontrivial normal cone (the polytope is not
+        full-dimensional).
+
+        The faces are the ANDs of the facet incidence masks.  A face's
+        normal cone is spanned by the normals of the facets containing it
+        plus the span of the equality normals; those facet normals are its
+        extreme rays modulo that span, so each cone is built from its
+        generators in canonical form, without a dual description.
+        """
+        if self.is_empty:
+            return []
+        gens, masks = self._facet_masks()
+        if self._rays or self._lins:
+            raise GeometryError("the normal fan is taken of a polytope")
+        lins, pivots = int_rref([h[1:] for h in self._heq])
+        normals = [_ireduce(reduce_mod(tuple(-x for x in h[1:]), lins, pivots))
+                   for h in self._hin]
+        origin = [(1,) + (0,) * self.n]
+        full = (1 << len(gens)) - 1
+        fan = []
+        for mask in sorted(mask_closure(masks, masks)) + ([full] if lins else []):
+            cone = Polyhedron._new(self.n)
+            cone._empty = False
+            cone._points, cone._lins, cone._vreduced = origin, lins, True
+            cone._rays = sorted(r for r, m in zip(normals, masks)
+                                if mask & m == mask)
+            fan.append((mask, cone))
+        return fan
 
     # -- canonical identity ----------------------------------------------------
 

@@ -28,7 +28,7 @@ from functools import lru_cache, reduce
 from typing import Mapping, Optional, Sequence
 
 from .geom import (HBuilder, Polyhedron, _ireduce, convex_hull, frac_vec,
-                   matrix_rank, vdot, vsub)
+                   mask_closure, matrix_rank, vdot, vsub)
 from .tropical import MINUS_INF, ExtRat, is_minus_inf
 
 
@@ -79,15 +79,11 @@ def _build_factor_cells(n: int, terms: tuple, level) -> tuple:
     # some (x, 1): an AND of facet masks with an upper facet among them, or
     # any face at all (the hull itself too) when an equality involves the
     # last coordinate.
-    full = (1 << len(entries)) - 1
     if any(a[-1] != 0 for a, _ in eqs):
-        found = {full}
+        seeds = [(1 << len(entries)) - 1]
     else:
-        found = {m for m, (a, _) in zip(facet_masks, ineqs) if a[-1] > 0}
-    frontier = found
-    while frontier:
-        frontier = {s & m for s in frontier for m in facet_masks} - found - {0}
-        found |= frontier
+        seeds = [m for m, (a, _) in zip(facet_masks, ineqs) if a[-1] > 0]
+    found = mask_closure(seeds, facet_masks)
 
     pair_h = {}
 

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tropnp.cli import (main, parse_input_spec, parse_output_doc, rat_str)
+from tropnp.cli import (dump_doc, main, parse_input_spec, parse_output_doc,
+                        rat_str)
 from tropnp.geom import union_equal
 from tropnp.subdivision import corner_locus_pieces
 
@@ -73,14 +76,21 @@ def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, doc, extra):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("text, reason", [
-    ("not json", "Expecting value"),
-    ("[1, 2]", "JSON object"),
-], ids=["not-json", "json-list"])
-def test_input_errors_name_the_file(tmp_path, capsys, text, reason):
+NOT_UTF8 = b"\xff\xfe"
+
+
+@pytest.mark.parametrize("loader, data, reason", [
+    ("--input", b"not json", "Expecting value"),
+    ("--input", b"[1, 2]", "JSON object"),
+    ("--input", NOT_UTF8, "can't decode byte 0xff"),
+    ("--tnp", NOT_UTF8, "can't decode byte 0xff"),
+], ids=["not-json", "json-list", "non-utf-8", "tnp-non-utf-8"])
+def test_input_errors_name_the_file(tmp_path, capsys, loader, data, reason):
+    # --input goes through load_input, --tnp through load_output_doc
     path = tmp_path / "m.json"
-    path.write_text(text)
-    code, out, err = run(capsys, "compute", "--input", str(path))
+    path.write_bytes(data)
+    command = "compute" if loader == "--input" else "newton"
+    code, out, err = run(capsys, command, loader, str(path))
     assert code == 1 and not out
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
     assert reason in err, err
@@ -336,3 +346,66 @@ class TestSerialization:
         assert rat_str(F(3, 2)) == "3/2"
         assert rat_str(F(-4)) == "-4"
         assert F(rat_str(F(22, 7))) == F(22, 7)
+
+
+#: sha256 of the documents as first written by `json.dumps`; any change to
+#: the engine, the face table or the writer that moves a byte shows here
+PINNED_DOCUMENTS = [
+    (["compute", "--input", "map2d.json"],
+     "74085549e620ec6b234e08480aadfb07c5d261c6cc6d35723e021435931c2e44"),
+    (["compute", "--input", "map2d.json", "--product"],
+     "ad6ad047d1294e3d0681b590693e126a11580899854b90a7f33490befaefc965"),
+    (["compute", "--input", "map2d_deg.json"],
+     "fa4071f18be5ad74d3295320cc01fba87dc6ce95e1ea7e31cda51300793ac1e7"),
+    (["compute", "--input", "map2d_deg.json", "--product"],
+     "5b5faca4b4cb0d4774c487a14abf046d3c2c7a53da97b83cb50f7eec5e4dc0a2"),
+    (["compute", "--input", "map3d_product.json"],
+     "f17460e62b435bc8ca2acb312c205332fe938cf5467b6a0ed28d8259be5e906d"),
+    (["compute", "--input", "map3d_product.json", "--product"],
+     "ed7a524bfc00a58cf15ce4d20353f52a28c7d1819da8fa700809df78521556ea"),
+    (["faces", "--input", "map3d.json"],
+     "d7bc5460a3c051d6387bcfd00a34d6ef1e35f63b14460eccbcc174ec7920f4c7"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_DOCUMENTS,
+                         ids=[" ".join(a) for a, _ in PINNED_DOCUMENTS])
+def test_document_bytes_are_pinned(capsys, argv, digest):
+    argv = [fixture_path(a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.text(alphabet=st.characters(codec="utf-8"))
+            | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é☃𝄞", ""]))
+_documents = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20)
+
+
+class TestDocumentWriter:
+    """dump_doc writes what json.dumps(indent=2, sort_keys=True) writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_documents, _documents)
+    def test_matches_json_dumps(self, doc, shared):
+        # a sub-object shared at two depths, as member faces are shared
+        doc = {"doc": doc, "shared": shared, "deeper": [[shared], {"s": shared}]}
+        assert dump_doc(doc, os.devnull) \
+            == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_empty_containers_and_bools_next_to_ints(self):
+        doc = {"a": [], "b": {}, "c": [True, 1, False, 0, None, -7],
+               "d": [[], [{}]]}
+        assert dump_doc(doc, os.devnull) \
+            == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("bad", [1.5, (1, 2), {1: "x"}],
+                             ids=["float", "tuple", "int-key"])
+    def test_other_types_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            dump_doc({"x": [bad]}, os.devnull)

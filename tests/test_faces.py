@@ -263,8 +263,8 @@ class TestAgainstTheFaceLattice:
         assert last.origin and last.dicritical
 
     def test_factor_cell_cache_is_left_alone(self, map3d):
-        # the level-0 factor cells are read once per map: caching them
-        # would only crowd out the factors that decompositions share
+        # the tuple-faces are read off Delta0's facets and need no factor
+        # cells: the shared cache keeps only what decompositions share
         _factor_cells.cache_clear()
         assert enumerate_tuple_faces(delta0(map3d))
         assert _factor_cells.cache_info().currsize == 0

@@ -10,7 +10,7 @@ from tropnp.geom import (GeometryError, Polyhedron, convex_hull,
                          matrix_rank, positive_coordinate_witness, primitive,
                          reduce_mod, union_equal)
 
-from conftest import rank, reduce_modulo, rref
+from conftest import normal_cone_of_face, rank, reduce_modulo, rref
 
 F = Fraction
 
@@ -151,6 +151,59 @@ class TestDicriticalCone:
         # a polyhedron's witness is read off its recession cone
         halfline = Polyhedron.from_generators(2, [(3, 1)], rays=[(2, -4)])
         assert positive_coordinate_witness(halfline) == (1, -2)
+
+
+class TestNormalFan:
+    """normal_fan against the proper faces and the facet-normal cones built
+    through the double description (conftest.normal_cone_of_face)."""
+
+    def test_random_polytopes_of_every_dimension(self):
+        rng = random.Random(5113)
+        lower = 0
+        for trial in range(60):
+            n = 1 + trial % 3
+            pts = [tuple(rng.randint(-2, 2) for _ in range(n))
+                   for _ in range(rng.randint(1, 6))]
+            if trial % 4 == 1:
+                # points on a line through the origin, or on the plane z = 0
+                d = rng.choice([e for e in itertools.product((-1, 0, 1, 2),
+                                                             repeat=n) if any(e)])
+                pts = [tuple(k * x for x in d) for k in range(rng.randint(1, 3))]
+            elif trial % 4 == 3 and n == 3:
+                pts = [p[:2] + (0,) for p in pts] + [(0, 0, 0)]
+            P = convex_hull(pts)
+            lower += P.dim < n
+            vs = P.vertices
+            expected = [(frozenset(face.vertices), normal_cone_of_face(P, active))
+                        for face, active in P.proper_faces_with_active()]
+            if P.dim < n:
+                expected.append((frozenset(vs), normal_cone_of_face(P, ())))
+            fan = P.normal_fan()
+            masks = [m for m, _ in fan]
+            if P.dim < n:
+                assert masks.pop() == (1 << len(vs)) - 1
+            assert masks == sorted(masks)
+            got = {frozenset(v for k, v in enumerate(vs) if mask >> k & 1): cone
+                   for mask, cone in fan}
+            assert {m: c.canonical_key() for m, c in got.items()} \
+                == {m: c.canonical_key() for m, c in expected}, pts
+            assert {m: c.dim for m, c in got.items()} \
+                == {m: c.dim for m, c in expected}, pts
+        assert lower >= 20
+
+    def test_square(self):
+        fan = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)]).normal_fan()
+        assert len(fan) == 8
+        assert sorted(len(c.rays) for _, c in fan) == [1] * 4 + [2] * 4
+        assert all(not c.lineality for _, c in fan)
+
+    def test_point_is_its_improper_face(self):
+        (mask, cone), = Polyhedron.point((1, 2)).normal_fan()
+        assert mask == 1 and cone.dim == 2 and not cone.rays
+
+    def test_unbounded_polyhedra_are_refused(self):
+        with pytest.raises(GeometryError):
+            Polyhedron.from_generators(2, [(0, 0)], [(1, 0)]).normal_fan()
 
 
 class TestBasicOps:
