@@ -21,7 +21,7 @@ from .tropical import (MINUS_INF, SupportError, TropicalMap,
                        TropicalPolynomial, valuation_of_series)
 from .subdivision import decomposition
 from .faces import DimensionCapExceeded, delta0, enumerate_tuple_faces
-from .engine import GenericityError, analyze_gamma, tnp_set
+from .engine import GenericityError, TNPSet, analyze_gamma, tnp_set
 from .oracle import grid_compare, in_tnp
 from .newton import FanError, recover_fan
 
@@ -130,8 +130,10 @@ def load_input(path: str):
 # ---------------------------------------------------------------------------
 
 def rat_str(v) -> str:
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """Canonical text of a rational: "p" or "p/q" in lowest terms."""
+    if type(v) is not int and type(v) is not Fraction:
+        v = Fraction(v)
+    return str(v)
 
 
 def vec_json(v):
@@ -306,17 +308,20 @@ def _check_dim_cap(n, cap):
         raise DimensionCapExceeded(f"dimension {n} exceeds cap {cap}")
 
 
-def _transversality_report(F, contexts):
-    """Transversality of the full decomposition and every restricted one."""
-    offenders = []
+def _transversality_report(F, faces):
+    """Offending cells of the full decomposition and, when it has some, of
+    the restricted decomposition of every tuple-face.  A restricted complex
+    is the star at infinity of the full one in the face's witness
+    direction, so a transversal full complex leaves no offender."""
     cx = decomposition(F.term_maps(), [MINUS_INF] * F.n, n=F.n)
     ok, bad = cx.is_transversal()
-    if not ok:
-        offenders.append({"face": None, "cells": bad})
-    for ctx in contexts:
-        ok, bad = ctx.complex.is_transversal()
+    if ok:
+        return []
+    offenders = [{"face": None, "cells": bad}]
+    for face in faces:
+        ok, bad = analyze_gamma(F, face).complex.is_transversal()
         if not ok:
-            offenders.append({"face": ctx.face.id, "cells": bad})
+            offenders.append({"face": face.id, "cells": bad})
     return offenders
 
 
@@ -327,14 +332,13 @@ def cmd_compute(args) -> int:
     _check_dim_cap(F.n, args.dim_cap)
     tup = delta0(F, dim_cap=args.dim_cap)
     faces = enumerate_tuple_faces(tup)
-    contexts = [analyze_gamma(F, f) for f in faces]
-    offenders = _transversality_report(F, contexts)
+    offenders = _transversality_report(F, faces)
     if offenders:
         print("transversality violation; offending cells:", file=sys.stderr)
         for o in offenders:
             print(f"  face={o['face']} cells={o['cells']}", file=sys.stderr)
         return EXIT_GENERICITY
-    s = tnp_set(F, staircase=not args.product, contexts=contexts)
+    s = tnp_set(F, staircase=not args.product, faces=faces)
     doc = {
         "schema": SCHEMA,
         "n": F.n,
@@ -367,7 +371,7 @@ def cmd_oracle(args) -> int:
             if parsed["n"] != F.n:
                 raise InputError(f"--against document has n = {parsed['n']}, "
                                  f"the input has n = {F.n}")
-            engine = _EngineView(F.n, parsed["tnp_pieces"])
+            engine = _document_set(parsed)
         else:
             engine = tnp_set(F)
         box = _parse_box(args.box, F.n) if args.box else None
@@ -386,28 +390,10 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-class _EngineView:
-    """Adapter giving a parsed piece list the TNPSet interface that the
-    oracle's grid comparison and the fan recovery read."""
-
-    def __init__(self, n, polytopes):
-        self.n = n
-        self.polytopes = list(polytopes)
-        self.canonical = tuple((p, ()) for p in self.polytopes)
-
-    @property
-    def is_empty(self):
-        return not self.polytopes
-
-    def membership(self, y):
-        return any(p.contains(y) for p in self.polytopes)
-
-    def bounding_box(self):
-        verts = [v for p in self.polytopes for v in p.vertices]
-        if not verts:
-            return None
-        return [(min(v[i] for v in verts), max(v[i] for v in verts))
-                for i in range(self.n)]
+def _document_set(parsed) -> TNPSet:
+    """The set written in a parsed compute output."""
+    return TNPSet.from_canonical(parsed["n"], parsed["tnp_pieces"],
+                                 parsed["tnp"].get("assembly"))
 
 
 def _parse_point(text: str, n: int):
@@ -442,7 +428,7 @@ def cmd_newton(args) -> int:
         raise InputError("newton needs exactly one of --input and --tnp")
     if args.tnp:
         parsed = load_output_doc(args.tnp)
-        source = _EngineView(parsed["n"], parsed["tnp_pieces"])
+        source = _document_set(parsed)
     else:
         F, _ = load_input(args.input)
         _check_dim_cap(F.n, args.dim_cap)

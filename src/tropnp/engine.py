@@ -2,9 +2,10 @@
 
 For every dicritical pre-origin tuple-face, restrict the map to the face,
 decompose R^n by the restricted corner loci, and read one output polytope
-off each contributing cell.  A cell contributes when it lies inside every
-corner locus whose member face misses the origin; its contribution is
-assembled coordinate-wise:
+off each contributing cell; no other tuple-face is restricted or
+decomposed.  A cell contributes when it lies inside every corner locus
+whose member face misses the origin, which its argmax profile tells
+(`analyze_sigma`); its contribution is assembled coordinate-wise:
 
 * coordinates whose member face contains the origin and whose dual summand
   is a point: the affine image of the cell under those components,
@@ -16,9 +17,10 @@ assembled coordinate-wise:
 Two assemblies exist for the bounded block.  The "product" form bounds each
 coordinate independently by its supremum over the cell; the "staircase"
 form keeps all coordinates coupled through a common preimage point and
-projects.  The staircase set is contained in the product set, and the two
-differ exactly when the per-coordinate suprema are not attained at a single
-point of the cell.  The coupled form is the default: it is the closure of
+projects; only the product form reads support values and affine images.
+The staircase set is contained in the product set, and the two differ
+exactly when the per-coordinate suprema are not attained at a single point
+of the cell.  The coupled form is the default: it is the closure of
 the honest virtual image, and the membership oracle confirms it on inputs
 where the product form provably overshoots (which happens from dimension
 three on, even on transversal inputs).  The probe suite classifies every
@@ -34,7 +36,7 @@ from typing import Optional, Sequence
 from .geom import Polyhedron, covered_by_union, frac_vec
 from .subdivision import Cell, CellComplex, decomposition
 from .faces import TupleFace, delta0, enumerate_tuple_faces
-from .tropical import MINUS_INF, PLUS_INF, TropicalMap
+from .tropical import MINUS_INF, TropicalMap
 
 
 class GenericityError(RuntimeError):
@@ -57,7 +59,11 @@ class GammaContext:
     face: TupleFace
     restricted: tuple            # per component: term dict (possibly empty)
     complex: CellComplex
-    origin_members: frozenset    # components whose member face contains 0
+
+    @property
+    def origin_members(self) -> frozenset:
+        """Components whose member face contains the origin."""
+        return self.face.origin_members
 
     @property
     def free_members(self) -> frozenset:
@@ -70,9 +76,6 @@ class SigmaAnalysis:
     cell: Cell
     contributing: bool
     bending: frozenset = field(default_factory=frozenset)  # components bending
-    bounds: dict = field(default_factory=dict)   # origin&bending -> sup or +inf
-    image: Optional[Polyhedron] = None           # origin&non-bending block image
-    image_coords: tuple = ()
     #: an origin member restricted to no terms at all: its output coordinate
     #: would sit at minus infinity, so nothing real can be emitted
     unrealizable: bool = False
@@ -93,6 +96,16 @@ class TNPSet:
         self.pieces = tuple(pieces)
         self.assembly = assembly
         self.canonical = self._canonical_union(pieces)
+
+    @classmethod
+    def from_canonical(cls, n: int, polytopes, assembly) -> "TNPSet":
+        """A set whose polytopes already form a canonical union, as the
+        pieces of a written document do: taken as they are, with no
+        provenance, and no union is recomputed."""
+        s = object.__new__(cls)
+        s.n, s.pieces, s.assembly = n, (), assembly
+        s.canonical = tuple((p, ()) for p in polytopes)
+        return s
 
     @staticmethod
     def _canonical_union(pieces):
@@ -160,7 +173,7 @@ def analyze_gamma(F: TropicalMap, face: TupleFace) -> GammaContext:
     restricted = tuple({a: c for a, c in comp.terms.items() if a in argmax}
                        for comp, argmax in zip(F.components, face.argmax))
     cx = decomposition(restricted, [MINUS_INF] * F.n, n=F.n)
-    return GammaContext(face, restricted, cx, face.origin_members)
+    return GammaContext(face, restricted, cx)
 
 
 def analyze_sigma(ctx: GammaContext, cell: Cell) -> SigmaAnalysis:
@@ -172,33 +185,9 @@ def analyze_sigma(ctx: GammaContext, cell: Cell) -> SigmaAnalysis:
     """
     bending = frozenset(i for i, fc in enumerate(cell.profile) if fc.bends)
     contributing = all(i in bending for i in ctx.free_members)
-    analysis = SigmaAnalysis(cell, contributing, bending)
-    if not contributing:
-        return analysis
-    assert ctx.free_members <= bending
-
-    closure = cell.closure
-    bounds = {}
-    for i in sorted(ctx.origin_members & bending):
-        normal, offset = _affine_form(ctx, cell, i)
-        sup = closure.support_value(normal)
-        bounds[i] = PLUS_INF if sup is None else sup + offset
-    analysis.bounds = bounds
-
-    image_coords = []
-    rows, consts = [], []
-    for i in sorted(ctx.origin_members - bending):
-        if not cell.argmax[i]:
-            analysis.unrealizable = True
-            continue
-        normal, offset = _affine_form(ctx, cell, i)
-        image_coords.append(i)
-        rows.append(normal)
-        consts.append(offset)
-    analysis.image_coords = tuple(image_coords)
-    if image_coords:
-        analysis.image = closure.affine_image(rows, consts)
-    return analysis
+    unrealizable = contributing and any(
+        not cell.argmax[i] for i in ctx.origin_members - bending)
+    return SigmaAnalysis(cell, contributing, bending, unrealizable)
 
 
 def _affine_form(ctx: GammaContext, cell: Cell, i: int):
@@ -227,26 +216,32 @@ def cell_contribution(ctx: GammaContext, analysis: SigmaAnalysis,
 
 
 def _assemble_product(ctx: GammaContext, analysis: SigmaAnalysis) -> Polyhedron:
+    """Each bending origin coordinate bounded by its supremum over the cell;
+    the other origin coordinates confined to the cell's affine image."""
     n = ctx.face.n
+    closure = analysis.cell.closure
     ineqs, eqs = [], []
-    for i, bound in sorted(analysis.bounds.items()):
-        if bound != PLUS_INF:
+    image_coords, rows, consts = [], [], []
+    for i in sorted(ctx.origin_members):
+        normal, offset = _affine_form(ctx, analysis.cell, i)
+        if i not in analysis.bending:
+            image_coords.append(i)
+            rows.append(normal)
+            consts.append(offset)
+            continue
+        sup = closure.support_value(normal)
+        if sup is not None:
             e = [Fraction(0)] * n
             e[i] = Fraction(1)
-            ineqs.append((tuple(e), Fraction(bound)))
-    if analysis.image is not None:
-        img_ineqs, img_eqs = analysis.image.hrep()
-        coords = analysis.image_coords
-        for a, b in img_ineqs:
-            e = [Fraction(0)] * n
-            for c, coeff in zip(coords, a):
-                e[c] = coeff
-            ineqs.append((tuple(e), b))
-        for a, b in img_eqs:
-            e = [Fraction(0)] * n
-            for c, coeff in zip(coords, a):
-                e[c] = coeff
-            eqs.append((tuple(e), b))
+            ineqs.append((tuple(e), Fraction(sup + offset)))
+    if image_coords:
+        img_ineqs, img_eqs = closure.affine_image(rows, consts).hrep()
+        for block, out in ((img_ineqs, ineqs), (img_eqs, eqs)):
+            for a, b in block:
+                e = [Fraction(0)] * n
+                for c, coeff in zip(image_coords, a):
+                    e[c] = coeff
+                out.append((tuple(e), b))
     return Polyhedron.from_hrep(n, ineqs, eqs).dual_description()
 
 
@@ -280,35 +275,32 @@ def _assemble_staircase(ctx: GammaContext, analysis: SigmaAnalysis) -> Polyhedro
 # ---------------------------------------------------------------------------
 
 def tnp_set(F: TropicalMap, *, staircase: bool = True,
-            contexts: Optional[Sequence[GammaContext]] = None) -> TNPSet:
+            faces: Optional[Sequence[TupleFace]] = None) -> TNPSet:
     """Union of the contributions over all dicritical pre-origin tuple-faces.
 
     The coupled staircase assembly is the default; pass staircase=False for
     the per-coordinate product closure (useful for cross-checking, but it
     can exceed the true set when suprema are not simultaneously attained).
-    Callers that already hold the analyze_gamma contexts of the tuple-faces
-    pass them as `contexts`, so that no face is analysed twice.
+    Callers that already hold the tuple-faces of delta0(F) pass them as
+    `faces`, so that they are not enumerated twice; only the dicritical
+    pre-origin ones are restricted and decomposed.
     """
-    if contexts is None:
-        contexts = [analyze_gamma(F, f) for f in enumerate_tuple_faces(delta0(F))
-                    if f.dicritical and f.pre_origin]
-    relevant = [c for c in contexts if c.face.dicritical and c.face.pre_origin]
+    if faces is None:
+        faces = enumerate_tuple_faces(delta0(F))
+    relevant = [f for f in faces if f.dicritical and f.pre_origin]
 
-    def work(ctx):
+    def work(face):
+        ctx = analyze_gamma(F, face)
         out = []
         for cell in ctx.complex:
             analysis = analyze_sigma(ctx, cell)
             piece = cell_contribution(ctx, analysis, staircase=staircase)
             if not piece.is_empty:
-                out.append(TNPPiece(piece, ctx.face.id, cell.id))
+                out.append(TNPPiece(piece, face.id, cell.id))
         return out
 
     pieces = [p for chunk in parallel_map(work, relevant) for p in chunk]
     return TNPSet(F.n, pieces, "staircase" if staircase else "product")
-
-
-def membership(s: TNPSet, y) -> bool:
-    return s.membership(y)
 
 
 def union_covers(s: TNPSet, target: Polyhedron) -> bool:

@@ -57,10 +57,6 @@ def frac_vec(v) -> Vec:
     return tuple(Fraction(x) for x in v)
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
@@ -480,10 +476,6 @@ class Polyhedron:
         self._dim = -1
         self._vreduced = True
         return self
-
-    @classmethod
-    def whole_space(cls, n: int) -> "Polyhedron":
-        return cls.from_hrep(n, [], [])
 
     @classmethod
     def point(cls, p) -> "Polyhedron":

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from tropnp.engine import analyze_gamma
 from tropnp.geom import HBuilder, Polyhedron, primitive
-from tropnp.tropical import TropicalMap, TropicalPolynomial
+from tropnp.subdivision import decomposition
+from tropnp.tropical import MINUS_INF, TropicalMap, TropicalPolynomial
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -24,6 +26,22 @@ def normal_cone_of_face(poly, active_facets):
     return Polyhedron.from_generators(
         poly.n, [(0,) * poly.n], [primitive(ineqs[i][0]) for i in active_facets],
         [primitive(a) for a, _ in eqs])
+
+
+def reference_transversality_report(F, faces):
+    """The all-face transversality gate: offending cells of the full
+    decomposition and of the restricted decomposition of every tuple-face,
+    each one built and checked."""
+    offenders = []
+    cx = decomposition(F.term_maps(), [MINUS_INF] * F.n, n=F.n)
+    ok, bad = cx.is_transversal()
+    if not ok:
+        offenders.append({"face": None, "cells": bad})
+    for face in faces:
+        ok, bad = analyze_gamma(F, face).complex.is_transversal()
+        if not ok:
+            offenders.append({"face": face.id, "cells": bad})
+    return offenders
 
 
 def reference_arrangement(n, hyperplanes):

@@ -15,6 +15,8 @@ For each random plane map it checks, with everything exact:
     complex (for faces whose members all meet the support),
   * agreement of the product and staircase assemblies, with any disagreement
     classified by the membership oracle,
+  * that a transversal full complex leaves every restricted complex
+    transversal, the implication `tropnp compute`'s gate rests on,
   * and, whenever every produced complex is transversal, a full grid
     comparison between the engine and the oracle.
 """
@@ -36,10 +38,11 @@ F = Fraction
 
 
 def random_map(rng: random.Random, n: int = 2, max_terms: int = 5,
-               val_range: int = 9, exp_range: int = 4) -> TropicalMap:
+               val_range: int = 9, exp_range: int = 4,
+               min_terms: int = 1) -> TropicalMap:
     components = []
     for _ in range(n):
-        k = rng.randint(1, max_terms)
+        k = rng.randint(min_terms, max_terms)
         exps = set()
         while len(exps) < k:
             e = tuple(rng.randint(0, exp_range) for _ in range(n))
@@ -73,6 +76,8 @@ class Disagreement:
 class MapReport:
     seed_index: int
     transversal: bool = True
+    #: full complex transversal => every restricted complex transversal
+    gate_implication_ok: bool = True
     duality_ok: bool = True
     pieces_ok: bool = True
     non_pre_origin_ok: bool = True
@@ -86,7 +91,8 @@ class MapReport:
     @property
     def ok(self) -> bool:
         return (self.duality_ok and self.pieces_ok and self.non_pre_origin_ok
-                and self.bijection_ok and self.oracle_ok
+                and self.bijection_ok and self.gate_implication_ok
+                and self.oracle_ok
                 and self.unclassified == 0)
 
 
@@ -159,7 +165,7 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     _check_rank_dims(xi)
     _check_profiles(xi)
     _check_closures(xi)
-    transversal = xi.is_transversal()[0]
+    full_transversal = transversal = xi.is_transversal()[0]
 
     tup = delta0(m)
     faces = enumerate_tuple_faces(tup)
@@ -229,6 +235,7 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
             product_set.membership(probe), staircase_set.membership(probe)))
 
     report.transversal = transversal
+    report.gate_implication_ok = transversal or not full_transversal
     if transversal and not report.genericity_failure:
         grid = grid_compare(m, staircase_set, resolution=grid_res)
         report.oracle_checked = True
@@ -254,6 +261,8 @@ def summarize(reports) -> str:
         f"duality failures:        {sum(not r.duality_ok for r in reports)}",
         f"piece-bound failures:    {sum(not r.pieces_ok for r in reports)}",
         f"bijection failures:      {sum(not r.bijection_ok for r in reports)}",
+        f"gate implication breaks: "
+        f"{sum(not r.gate_implication_ok for r in reports)}",
         f"genericity refusals:     {sum(r.genericity_failure for r in reports)}",
         f"assembly disagreements:  {sum(len(r.disagreements) for r in reports)}",
         f"unclassified:            {sum(r.unclassified for r in reports)}",

@@ -136,6 +136,9 @@ def test_criterion_6_randomized_property_suite(suite_reports):
         assert r.pieces_ok, f"dimension bound broken on map {r.seed_index}"
         assert r.non_pre_origin_ok, f"non-pre-origin leak on map {r.seed_index}"
         assert r.bijection_ok, f"bijection broken on map {r.seed_index}"
+        assert r.gate_implication_ok, \
+            f"transversal full complex, offending restricted one on map " \
+            f"{r.seed_index}"
         if r.oracle_checked:
             assert r.oracle_ok, f"oracle mismatch on map {r.seed_index}"
     checked = sum(r.oracle_checked for r in reports)

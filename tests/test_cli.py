@@ -1,17 +1,22 @@
 import hashlib
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropnp.cli import (dump_doc, main, parse_input_spec, parse_output_doc,
-                        rat_str)
+from tropnp.cli import (_transversality_report, dump_doc, main,
+                        parse_input_spec, parse_output_doc, rat_str)
+from tropnp.engine import (GenericityError, TNPSet, analyze_gamma,
+                           analyze_sigma, cell_contribution, tnp_set)
+from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.geom import union_equal
 from tropnp.subdivision import corner_locus_pieces
 
-from conftest import fixture_path
+from conftest import fixture_path, reference_transversality_report
+from property_suite import random_map
 
 F = Fraction
 
@@ -19,6 +24,14 @@ F = Fraction
 EMPTY_SET_MAP = {"n": 2, "maps": [
     [{"exp": [1, 0], "val": "0"}, {"exp": [0, 1], "val": "0"}],
     [{"exp": [1, 1], "val": "0"}, {"exp": [2, 1], "val": "3"}]]}
+
+#: the refusal of a curve given twice, as written while every tuple-face's
+#: restricted complex was still built for the gate
+DUPLICATE_CURVE_REFUSAL = """transversality violation; offending cells:
+  face=None cells=[0, 1, 2, 3]
+  face=6 cells=[0]
+  face=7 cells=[0]
+"""
 
 
 def run(capsys, *argv):
@@ -218,9 +231,61 @@ class TestComputeCommand:
                 {"exp": [1, 1], "val": "2"}]
         f = tmp_path / "dup.json"
         f.write_text(json.dumps({"n": 2, "maps": [comp, comp]}))
-        code, _, err = run(capsys, "compute", "--input", str(f))
-        assert code == 2
-        assert "transversality" in err
+        code, out, err = run(capsys, "compute", "--input", str(f))
+        assert (code, out, err) == (2, "", DUPLICATE_CURVE_REFUSAL)
+
+
+def _all_face_pieces(F, faces):
+    """tnp_set's pieces read off restricted complexes built for every
+    tuple-face, as compute built them for its all-face gate."""
+    contexts = [analyze_gamma(F, f) for f in faces]
+    pieces = []
+    for ctx in contexts:
+        if not (ctx.face.dicritical and ctx.face.pre_origin):
+            continue
+        for cell in ctx.complex:
+            piece = cell_contribution(ctx, analyze_sigma(ctx, cell))
+            if not piece.is_empty:
+                pieces.append((piece.canonical_key(), ctx.face.id, cell.id))
+    return pieces
+
+
+def _pieces_or_refusal(build):
+    try:
+        return build()
+    except GenericityError:
+        return "not face-generic"
+
+
+class TestTransversalityGate:
+    """compute gates on the full decomposition alone: a restricted complex
+    is the star at infinity of the full one in its face's witness
+    direction, so it offends only where the full complex does."""
+
+    def test_map3d_refusal_is_pinned(self, capsys):
+        with open(fixture_path("map3d_refusal.stderr"), encoding="utf-8") as fh:
+            expected = fh.read()
+        code, out, err = run(capsys, "compute", "--input",
+                             fixture_path("map3d.json"))
+        assert (code, out, err) == (2, "", expected)
+        assert "  face=52 cells=[2, 3, 14]\n" in err
+
+    def test_agrees_with_the_all_face_gate(self):
+        rng = random.Random(1103)
+        refused = 0
+        for _ in range(40):
+            F = random_map(rng, n=3, min_terms=3, max_terms=3, exp_range=2)
+            faces = enumerate_tuple_faces(delta0(F))
+            offenders = reference_transversality_report(F, faces)
+            assert _transversality_report(F, faces) == offenders
+            refused += bool(offenders)
+            expected = _pieces_or_refusal(lambda: _all_face_pieces(F, faces))
+            for build in (lambda: tnp_set(F, faces=faces), lambda: tnp_set(F)):
+                got = _pieces_or_refusal(lambda: [
+                    (p.polyhedron.canonical_key(), p.face_id, p.cell_id)
+                    for p in build().pieces])
+                assert got == expected
+        assert 0 < refused < 40
 
 
 class TestOracleCommand:
@@ -298,6 +363,22 @@ class TestNewtonCommand:
         code, text, _ = run(capsys, "newton", "--tnp", str(out))
         assert code == 0
         assert json.loads(text)["fan"]["face_vector"] == [4, 4]
+        assert text == run(capsys, "newton", "--input",
+                           fixture_path("map2d.json"))[1]
+
+    def test_document_pieces_are_taken_as_canonical(self, tmp_path, capsys,
+                                                    monkeypatch):
+        out = tmp_path / "c.json"
+        run(capsys, "compute", "--input", fixture_path("map2d.json"),
+            "--output", str(out))
+
+        def recomputed(pieces):
+            raise AssertionError("canonical union recomputed")
+        monkeypatch.setattr(TNPSet, "_canonical_union",
+                            staticmethod(recomputed))
+        assert run(capsys, "newton", "--tnp", str(out))[0] == 0
+        assert run(capsys, "oracle", "--input", fixture_path("map2d.json"),
+                   "--grid", "--res", "3", "--against", str(out))[0] == 0
 
 
 class TestPlotCommand:
@@ -341,11 +422,28 @@ class TestPlotCommand:
         assert 'class="virtual"' in svg.read_text()
 
 
+def _fraction_text(v):
+    """rat_str as first written: through a Fraction for every input."""
+    f = F(v)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+_rationals = (st.integers() | st.fractions()
+              | st.tuples(st.integers(), st.integers(1, 10 ** 6)).map(
+                  lambda t: f"{t[0]}/{t[1]}")
+              | st.integers().map(str))
+
+
 class TestSerialization:
     def test_rationals_as_strings(self):
         assert rat_str(F(3, 2)) == "3/2"
         assert rat_str(F(-4)) == "-4"
         assert F(rat_str(F(22, 7))) == F(22, 7)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rationals)
+    def test_same_text_as_through_a_fraction(self, v):
+        assert rat_str(v) == _fraction_text(v)
 
 
 #: sha256 of the documents as first written by `json.dumps`; any change to
