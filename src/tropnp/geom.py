@@ -415,7 +415,7 @@ class Polyhedron:
     """
 
     __slots__ = ("n", "_hin", "_heq", "_hgiven", "_points", "_rays", "_lins",
-                 "_empty", "_dim", "_faces", "_vreduced")
+                 "_empty", "_dim", "_vreduced")
 
     def __init__(self):
         raise TypeError("use Polyhedron.from_hrep / from_generators / empty")
@@ -434,7 +434,6 @@ class Polyhedron:
         self._lins = None     # int_rref basis of the lineality space
         self._empty = None
         self._dim = None
-        self._faces = None
         self._vreduced = False
         return self
 
@@ -817,8 +816,6 @@ class Polyhedron:
         """Proper faces paired with the indices of the facets containing them."""
         if self.is_empty:
             return []
-        if self._faces is not None:
-            return list(self._faces)
         gens, masks = self._facet_masks()
         npts = len(self._points)
         point_bits = (1 << npts) - 1
@@ -833,8 +830,7 @@ class Polyhedron:
             faces.append((face, tuple(i for i, m in enumerate(masks)
                                       if mask & m == mask)))
         faces.sort(key=lambda fa: (fa[0].dim, fa[0].canonical_key()))
-        self._faces = faces
-        return list(faces)
+        return faces
 
     def normal_fan(self) -> list:
         """(vertex mask, closed outer normal cone) of every face of a

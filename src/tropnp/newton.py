@@ -10,13 +10,12 @@ components of the complement.  The construction below rebuilds the fan:
 1. take the recession cone of every piece,
 2. cut R^n by every constraint hyperplane of those cones (a central
    arrangement refined enough that each recession cone is a union of
-   arrangement cells).  The arrangement is one refinement search of the
-   decomposition machinery: hyperplane a = a+ - a- is the corner locus of
-   the tropical binomial max(<a+, x>, <a-, x>), so every relatively open
-   cone of the arrangement is the cell of one argmax profile, found once,
-3. merge adjacent full-dimensional arrangement cones whose shared wall is
-   not inside the skeleton (a wall ties one binomial, and its two
-   neighbours are the profiles that take either strict side instead), and
+   arrangement cells).  A central arrangement is the normal fan of the
+   zonotope Z = sum of the segments conv{0, a} over its normals a: the
+   full-dimensional cones (regions) are the normal cones of Z's vertices,
+   and the walls between them those of Z's edges,
+3. merge adjacent regions whose shared wall is not inside the skeleton (a
+   wall's two neighbours are the regions of its edge's two vertices), and
    collect all faces of the merged cones.
 
 Cones are Polyhedrons with the origin as their point; `cones_by_dim` maps
@@ -36,8 +35,6 @@ from typing import Sequence
 
 from .geom import Polyhedron, frac_vec, is_zero_vec, primitive, vdot
 from .engine import TNPSet
-from .subdivision import _build_factor_cells, _refine
-from .tropical import MINUS_INF
 
 
 class FanError(ValueError):
@@ -54,10 +51,6 @@ class RecoveredFan:
     facet_normals: tuple            # primitive outer normals of the facets
     span_dim: int                   # dimension of the dual polytope
     span_normals: tuple             # normals of the polytope's affine span
-
-    @property
-    def maximal_cones(self):
-        return self.cones_by_dim[self.n]
 
 
 def _skeleton_cones(pieces: Sequence[Polyhedron]):
@@ -85,19 +78,24 @@ def _cut_hyperplanes(cones: Sequence[Polyhedron]):
 
 
 def _arrangement(n: int, hyperplanes):
-    """The central arrangement of the hyperplanes as one refinement search.
+    """The central arrangement of the hyperplanes as the normal fan of the
+    zonotope Z = sum of the segments conv{0, a} (Ziegler, Lectures on
+    Polytopes, ch. 7): the outer normal cone of a vertex of Z is a region,
+    that of an edge of Z (or of Z itself, when Z is a segment) is a wall.
 
-    Hyperplane a = a+ - a- (its positive and negative parts) is the corner
-    locus of the tropical binomial max(<a+, x>, <a-, x>), whose argmax cells
-    are the open sides a . x > 0 (a+ alone) and a . x < 0 (a- alone) and
-    the tie a . x = 0; they are built outside the shared factor-cell cache.
-    Returns the (profile, closure) pairs of the arrangement's relatively
-    open cones: the search prunes a strict side that is tight on its cone,
-    so each cone comes once.
+    Returns (regions, walls): the region cones in vertex order, and per
+    wall its cone with the indices of its two neighbouring regions, the
+    vertices of its edge.
     """
-    binomials = [((tuple(max(x, 0) for x in a), 0),
-                  (tuple(max(-x, 0) for x in a), 0)) for a in hyperplanes]
-    return _refine(n, [_build_factor_cells(n, b, MINUS_INF) for b in binomials])
+    origin = (0,) * n
+    zonotope = Polyhedron.point(origin)
+    for a in hyperplanes:
+        zonotope = zonotope.minkowski_sum(Polyhedron.from_generators(n, [origin, a]))
+    fan = zonotope.normal_fan()
+    regions = [cone for mask, cone in fan if mask.bit_count() == 1]
+    walls = [(cone, (mask & -mask).bit_length() - 1, mask.bit_length() - 1)
+             for mask, cone in fan if mask.bit_count() == 2]
+    return regions, walls
 
 
 def recover_fan(s: TNPSet) -> RecoveredFan:
@@ -114,16 +112,7 @@ def recover_fan(s: TNPSet) -> RecoveredFan:
         # all pieces bounded: impossible for a corner locus
         raise FanError("no unbounded piece: the set is not a corner locus")
 
-    cells = _arrangement(n, _cut_hyperplanes(skeleton))
-
-    regions = [(profile, poly) for profile, poly in cells if poly.dim == n]
-    walls = [(profile, poly) for profile, poly in cells if poly.dim == n - 1]
-    if not regions:
-        raise FanError("skeleton spans no full-dimensional complement")
-
-    index = {profile: i for i, (profile, _) in enumerate(regions)}
-    # per binomial, the strict sides that full-dimensional cones take
-    sides = [set(column) for column in zip(*(p for p, _ in regions))]
+    regions, walls = _arrangement(n, _cut_hyperplanes(skeleton))
     parent = list(range(len(regions)))
 
     def find(i):
@@ -132,18 +121,11 @@ def recover_fan(s: TNPSet) -> RecoveredFan:
             i = parent[i]
         return i
 
-    def union(i, j):
-        parent[find(i)] = find(j)
-
-    for profile, wall in walls:
+    for wall, i, j in walls:
         probe = wall.relative_interior_point()
         if any(sp.contains(probe) for sp in skeleton):
             continue  # wall lies inside the skeleton: keep the separation
-        # the hyperplanes are distinct, so the wall ties exactly one
-        # binomial, and its two neighbours take either strict side of it
-        k = next(k for k, fc in enumerate(profile) if fc.bends)
-        i, j = (index[profile[:k] + (fc,) + profile[k + 1:]] for fc in sides[k])
-        union(i, j)
+        parent[find(i)] = find(j)
 
     groups = {}
     for i in range(len(regions)):
@@ -156,14 +138,14 @@ def recover_fan(s: TNPSet) -> RecoveredFan:
     for root in roots:
         rays, lins = [], []
         for i in groups[root]:
-            rays.extend(regions[i][1].rays)
-            lins.extend(regions[i][1].lineality)
+            rays.extend(regions[i].rays)
+            lins.extend(regions[i].lineality)
         maximal.append(Polyhedron.from_generators(n, [origin], rays, lins))
 
     # fan validity: each merged cone must be exactly the union of its atomic
     # regions; a conic hull capturing a foreign region means the complement
     # components are not convex, so the input is not a corner locus
-    probes = [poly.relative_interior_point() for _, poly in regions]
+    probes = [poly.relative_interior_point() for poly in regions]
     for gi, cone in enumerate(maximal):
         for i, probe in enumerate(probes):
             if group_of[i] != gi and cone.contains(probe):

@@ -193,17 +193,17 @@ def valuation_of_series(text: str):
         coeff = coeff + "1"
     try:
         c = Fraction(coeff)
-        if c == 0:
-            raise ValueError(f"zero coefficient in {text!r} has no valuation")
-    except ValueError as exc:
-        if "no valuation" in str(exc):
-            raise
+    except ValueError:
+        c = None
         notices.append(
             f"non-rational coefficient part {coeff!r} in {text!r} discarded; "
             "only the exponent of t matters")
-    if "t" in text:
-        exp = m.group("exp")
-        r = Fraction(exp) if exp else Fraction(1)
-    else:
-        r = Fraction(0)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    if c == 0:
+        raise ValueError(f"zero coefficient in {text!r} has no valuation")
+    try:
+        r = Fraction(m.group("exp") or 1) if "t" in text else Fraction(0)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
     return -r, notices

@@ -5,7 +5,6 @@ All tolerances are exact (rational arithmetic end to end); the only budgets
 are wall-clock ones, asserted per criterion.
 """
 
-import os
 import time
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ from tropnp.oracle import boundary_samples, grid_compare, in_tnp
 from tropnp.subdivision import corner_locus_pieces
 
 from conftest import fixture_path
-from property_suite import run_suite, summarize
+from property_suite import Disagreement, run_suite, summarize
 
 F = Fraction
 
@@ -170,12 +169,16 @@ def _write_probe_report(reports, disagreements):
     for d in disagreements:
         lines.append(
             f"  face {d.face_id} cell {d.cell_id} probe {d.probe}: "
-            f"oracle={d.oracle_member} product={d.product_member} "
-            f"staircase={d.staircase_member} -> favors {d.oracle_favors}")
-    text = "\n".join(lines) + "\n"
-    print(text)
-    ledger_dir = "/root/notes"
-    if os.path.isdir(ledger_dir) and os.access(ledger_dir, os.W_OK):
-        with open(os.path.join(ledger_dir, "probe_report.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text)
+            f"oracle={d.oracle_member} product={d.product_union} "
+            f"staircase={d.staircase_union} -> favors {d.oracle_favors}")
+    print("\n".join(lines))
+
+
+def test_probe_report_names_each_disagreement(capsys):
+    d = Disagreement(face_id=3, cell_id=1, probe=(F(1, 2), F(0)),
+                     oracle_member=True, product_union=False,
+                     staircase_union=True)
+    _write_probe_report([], [d])
+    assert ("  face 3 cell 1 probe (Fraction(1, 2), Fraction(0, 1)): "
+            "oracle=True product=False staircase=True -> favors staircase"
+            in capsys.readouterr().out.splitlines())

@@ -71,13 +71,14 @@ def _doc(first_component, n=2):
     (_doc([GOOD_TERM, 7]), []),
     (_doc([{"exp": [1, "x"], "val": "0"}]), []),
     (_doc([{"exp": [1, 0], "series": "0t^2"}]), []),
+    (_doc([{"exp": [1, 0], "series": "t^1/0"}]), []),
     (_doc([{"exp": [1, 0], "val": "1/0"}]), []),
     (_doc([GOOD_TERM], n=2.5), []),
     (None, ["--point=1,x"]),
     (None, ["--point=1,2,3"]),
 ], ids=["term-not-an-object", "non-integer-exponent", "zero-series",
-        "zero-denominator", "non-integer-n", "non-rational-point",
-        "point-of-wrong-dimension"])
+        "zero-series-exponent-denominator", "zero-denominator",
+        "non-integer-n", "non-rational-point", "point-of-wrong-dimension"])
 def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, doc, extra):
     if doc is None:
         cmd, path = "oracle", fixture_path("map2d.json")

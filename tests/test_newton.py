@@ -148,28 +148,46 @@ def _random_hyperplanes(rng, n, count):
     return sorted(normals)
 
 
-def _signs(hyperplanes, profile):
-    """The sign vector of an arrangement profile: 0 on a tie, +1 where
-    a+ alone attains max(<a+, x>, <a-, x>), so a . x > 0, else -1."""
-    signs = []
-    for a, fc in zip(hyperplanes, profile):
-        up = tuple(max(x, 0) for x in a)
-        signs.append(0 if fc.bends else 1 if fc.argmax == {up} else -1)
-    return tuple(signs)
-
-
 class TestArrangement:
+    """The zonotope's normal fan against the sign-vector reference: regions
+    are its n-dimensional cells, walls its (n-1)-dimensional ones, and a
+    wall lies in exactly its two endpoint regions."""
+
+    @staticmethod
+    def check(n, hyperplanes):
+        regions, walls = _arrangement(n, hyperplanes)
+        ref = reference_arrangement(n, hyperplanes)
+        for cones, d in ((regions, n), ([w for w, _, _ in walls], n - 1)):
+            keys = [c.canonical_key() for c in cones]
+            assert len(set(keys)) == len(keys), hyperplanes
+            assert set(keys) == {poly.canonical_key() for _, poly in ref
+                                 if poly.dim == d}, hyperplanes
+        for wall, i, j in walls:
+            assert [k for k, r in enumerate(regions)
+                    if r.contains_polyhedron(wall)] == sorted((i, j)), hyperplanes
+        return regions, walls
+
     def test_cells_against_the_sign_vector_reference(self):
         rng = random.Random(20261020)
         for trial in range(100):
             n = 2 + trial % 2
-            hyperplanes = _random_hyperplanes(rng, n, rng.randint(2, 6))
-            cells = _arrangement(n, hyperplanes)
-            keys = [closure.canonical_key() for _, closure in cells]
-            assert len(set(keys)) == len(keys), hyperplanes
+            self.check(n, _random_hyperplanes(rng, n, rng.randint(2, 6)))
 
-            ref = reference_arrangement(n, hyperplanes)
-            assert set(keys) == {poly.canonical_key() for _, poly in ref}
-            ref_cells = {(signs, poly.canonical_key()) for signs, poly in ref}
-            for (profile, _), key in zip(cells, keys):
-                assert (_signs(hyperplanes, profile), key) in ref_cells
+    def test_one_hyperplane_is_the_segment_itself(self):
+        # Z = conv{0, a} is a segment: its improper face is the wall
+        regions, walls = self.check(3, [(1, -1, 0)])
+        assert len(regions) == 2
+        (wall, i, j), = walls
+        assert (i, j) == (0, 1)
+        assert wall == Polyhedron.from_hrep(3, [], [((1, -1, 0), 0)])
+
+    def test_normals_spanning_a_plane_leave_lineality(self):
+        regions, walls = self.check(3, [(0, 1, 0), (1, -1, 0), (1, 0, 0)])
+        assert (len(regions), len(walls)) == (6, 6)
+        assert all(c.lineality == [(0, 0, 1)]
+                   for c in regions + [w for w, _, _ in walls])
+
+    def test_four_dimensional_arrangements(self):
+        rng = random.Random(20261021)
+        for _ in range(12):
+            self.check(4, _random_hyperplanes(rng, 4, rng.randint(1, 4)))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropnp.engine import analyze_gamma
 from tropnp.faces import delta0, enumerate_tuple_faces
@@ -161,3 +162,16 @@ class TestSeriesParsing:
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ValueError):
             valuation_of_series("0")
+
+    @pytest.mark.parametrize("text", ["t^1/0", "1/0t^2", "0/0"])
+    def test_zero_denominator_rejected(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            valuation_of_series(text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.text(alphabet="0123456789t^/.+-*() i", max_size=12) | st.text())
+    def test_any_text_parses_or_raises_value_error(self, text):
+        try:
+            valuation_of_series(text)
+        except ValueError:
+            pass
