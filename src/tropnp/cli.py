@@ -1,8 +1,8 @@
 """Command line interface: compute, oracle, faces, newton, plot.
 
 Input is a JSON document;  coefficients are exact rationals ("p/q" strings
-or integers), or leading series terms like "3t^5" whose exponent carries
-the coefficient's valuation (val = -5 here).  All output is canonical: the
+or integers, no exponent notation), or leading series terms like "3t^5"
+whose exponent carries the coefficient's valuation (val = -5 here).  All output is canonical: the
 same input always produces byte-identical documents.
 
 Exit codes: 0 success, 1 parse/validation error, 2 transversality or
@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .geom import DIM_CAP, Polyhedron
 from .tropical import (MINUS_INF, SupportError, TropicalMap,
-                       TropicalPolynomial, valuation_of_series)
-from .subdivision import decomposition
+                       TropicalPolynomial, exact_fraction, valuation_of_series)
+from .subdivision import cayley_profiles, decomposition, transversal
 from .faces import DimensionCapExceeded, delta0, enumerate_tuple_faces
 from .engine import GenericityError, TNPSet, analyze_gamma, tnp_set
 from .oracle import grid_compare, in_tnp
@@ -49,7 +49,7 @@ def parse_rational(v) -> Fraction:
         return Fraction(v)
     if isinstance(v, str):
         try:
-            return Fraction(v)
+            return exact_fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational: {v!r}") from exc
     raise InputError(f"not a rational: {v!r} (floats are not accepted)")
@@ -158,7 +158,7 @@ def poly_from_json(doc: dict, n: int) -> Polyhedron:
     if not doc["vertices"]:
         return Polyhedron.empty(n)
     return Polyhedron.from_generators(
-        n, [[Fraction(x) for x in v] for v in doc["vertices"]],
+        n, [[exact_fraction(x) for x in v] for v in doc["vertices"]],
         doc["rays"], doc["lineality"])
 
 
@@ -312,12 +312,15 @@ def _transversality_report(F, faces):
     """Offending cells of the full decomposition and, when it has some, of
     the restricted decomposition of every tuple-face.  A restricted complex
     is the star at infinity of the full one in the face's witness
-    direction, so a transversal full complex leaves no offender."""
-    cx = decomposition(F.term_maps(), [MINUS_INF] * F.n, n=F.n)
-    ok, bad = cx.is_transversal()
-    if ok:
+    direction, so a transversal full complex leaves no offender.
+
+    The verdict reads the cells' argmax profiles off the lifted Cayley
+    polytope of the map (`cayley_profiles`); only a refused map builds the
+    full and the restricted complexes, whose cell ids the list names."""
+    if all(map(transversal, cayley_profiles(F.n, F.term_maps()))):
         return []
-    offenders = [{"face": None, "cells": bad}]
+    cx = decomposition(F.term_maps(), [MINUS_INF] * F.n, n=F.n)
+    offenders = [{"face": None, "cells": cx.is_transversal()[1]}]
     for face in faces:
         ok, bad = analyze_gamma(F, face).complex.is_transversal()
         if not ok:

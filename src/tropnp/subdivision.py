@@ -17,6 +17,12 @@ positive last coordinate.  The refinement search prunes a partial profile
 as soon as one of its non-member inequalities is tight on the whole partial
 cell: every point below it would tie that entry and so belongs to a finer
 profile.
+
+Where only the profiles are read, and no closures, `cayley_profiles` takes
+them off one hull instead: the upper faces of the lifted Cayley polytope
+that meet every layer, by the same mask reading as the factor regions.
+`transversal` is the rank test on a profile's dual points that both
+`Cell.is_transversal` and `tropnp compute`'s gate apply.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Mapping, Optional, Sequence
 
-from .geom import (HBuilder, Polyhedron, _ireduce, convex_hull, frac_vec,
-                   mask_closure, matrix_rank, vdot, vsub)
+from .geom import (HBuilder, Polyhedron, _homog_point, _ireduce, convex_hull,
+                   frac_vec, mask_closure, matrix_rank, vdot, vsub)
 from .tropical import MINUS_INF, ExtRat, is_minus_inf
 
 
@@ -56,6 +62,30 @@ def _entries(n, terms, level):
     return entries
 
 
+def _upper_face_masks(dim: int, lifted: Sequence) -> set:
+    """Point masks (bit k for `lifted[k]`) of the faces of conv(lifted) in
+    R^dim exposed by some (x, 1), the last coordinate being the lift.
+
+    Such a face is an AND of facet-incidence masks, taken over all lifted
+    points and not only the vertices, with an upper facet among them; or
+    any face at all, the hull itself too, when an equality involves the
+    last coordinate.
+    """
+    ineqs, eqs = Polyhedron.from_generators(dim, lifted).hrep()
+    points = [_homog_point(p) for p in lifted]
+    facet_masks = []
+    for a, b in ineqs:
+        # the homogenized row of a . p <= b, zero on the facet's hyperplane
+        h = (b.numerator,) + tuple(-x for x in a)
+        facet_masks.append(sum(1 << k for k, q in enumerate(points)
+                               if vdot(h, q) == 0))
+    if any(a[-1] != 0 for a, _ in eqs):
+        seeds = [(1 << len(lifted)) - 1]
+    else:
+        seeds = [m for m, (a, _) in zip(facet_masks, ineqs) if a[-1] > 0]
+    return mask_closure(seeds, facet_masks)
+
+
 #: Several n = 3 maps' working sets (about 250 keys each); the oracle keys
 #: the cache on levels that change from point to point.
 FACTOR_CELL_CACHE_SIZE = 2048
@@ -71,19 +101,8 @@ def _build_factor_cells(n: int, terms: tuple, level) -> tuple:
         return (FactorCell(frozenset() if is_level else frozenset([exp]),
                            is_level, (), (), (exp,)),)
 
-    lifted = [exp + (coeff,) for exp, coeff, _ in entries]
-    ineqs, eqs = Polyhedron.from_generators(n + 1, lifted).hrep()
-    facet_masks = [sum(1 << k for k, p in enumerate(lifted) if vdot(a, p) == b)
-                   for a, b in ineqs]
-    # An argmax set is the entry set of a face of the lifted hull exposed by
-    # some (x, 1): an AND of facet masks with an upper facet among them, or
-    # any face at all (the hull itself too) when an equality involves the
-    # last coordinate.
-    if any(a[-1] != 0 for a, _ in eqs):
-        seeds = [(1 << len(entries)) - 1]
-    else:
-        seeds = [m for m, (a, _) in zip(facet_masks, ineqs) if a[-1] > 0]
-    found = mask_closure(seeds, facet_masks)
+    found = _upper_face_masks(
+        n + 1, [exp + (coeff,) for exp, coeff, _ in entries])
 
     pair_h = {}
 
@@ -134,6 +153,47 @@ def _argmax_at(terms: Mapping, level, x):
     return frozenset(argmax), has_level
 
 
+def cayley_profiles(n: int, term_maps: Sequence[Mapping]) -> list:
+    """Per factor, the sorted dual points (argmax exponents) of every cell
+    of the common refinement of the factors' argmax decompositions; every
+    term map must be nonempty.
+
+    These are the upper faces of the lifted Cayley polytope
+    conv{(a, e_i, c_a) : a in A_i} that meet every layer (Huber, Rambau and
+    Santos, JEMS 2, 2000): (x, lambda, 1) exposes the points attaining
+    max_i (f_i(x) + lambda_i), and with lambda_i = -f_i(x) those are the
+    argmax sets of all factors at x.  The first layer's unit vector is
+    dropped, which leaves the polytope affinely the same.
+    """
+    lifted, layers, spans = [], [], []
+    for i, terms in enumerate(term_maps):
+        unit = tuple(int(j == i) for j in range(1, len(term_maps)))
+        exps = sorted(terms)
+        layers.append(exps)
+        spans.append((len(lifted), (1 << len(exps)) - 1))
+        lifted += [exp + unit + (Fraction(terms[exp]),) for exp in exps]
+    profiles = []
+    for mask in _upper_face_masks(n + len(term_maps), lifted):
+        parts = [mask >> s & full for s, full in spans]
+        if all(parts):
+            profiles.append(tuple(
+                tuple(e for k, e in enumerate(exps) if part >> k & 1)
+                for part, exps in zip(parts, layers)))
+    return profiles
+
+
+def transversal(duals: Sequence[Sequence]) -> bool:
+    """Whether the dual points of a cell, one sequence per factor, span a
+    dual cell whose dimension is the sum of the summands' dimensions:
+    rank(union of the D_i) == sum of rank(D_i), D_i the differences of the
+    i-th factor's points to its first one."""
+    diffs = [[vsub(p, d[0]) for p in d[1:]] for d in duals if len(d) > 1]
+    if len(diffs) < 2:
+        return True
+    return matrix_rank([r for d in diffs for r in d]) \
+        == sum(matrix_rank(d) for d in diffs)
+
+
 # ---------------------------------------------------------------------------
 # cells and complexes
 # ---------------------------------------------------------------------------
@@ -182,9 +242,7 @@ class Cell:
 
     def is_transversal(self):
         """dim dual == sum of the summand dims, as ranks of the differences."""
-        diffs = self._differences()
-        return matrix_rank([r for d in diffs for r in d]) \
-            == sum(matrix_rank(d) for d in diffs)
+        return transversal([fc.dual_points for fc in self.profile])
 
     def __repr__(self):
         return f"Cell(id={self.id}, dim={self.dim})"

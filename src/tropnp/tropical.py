@@ -168,6 +168,19 @@ class TropicalMap:
 # series-coefficient parsing: "c*t^r" carries valuation -r
 # ---------------------------------------------------------------------------
 
+#: The start of a decimal in exponent notation as Fraction reads it ("1e-9",
+#: "-.5E+3"): Fraction expands the exponent into a power of ten, so its work
+#: grows with the exponent's value, and a short text can stall.
+_EXPONENT_NOTATION = r"\s*[-+]?(?=\d|\.\d)[\d_]*(?:\.[\d_]*)?[eE][-+]?\d"
+
+
+def exact_fraction(v) -> Fraction:
+    """Fraction(v), with text in exponent notation refused by a ValueError."""
+    if isinstance(v, str) and re.match(_EXPONENT_NOTATION, v):
+        raise ValueError(f"exponent notation is not accepted: {v!r}")
+    return Fraction(v)
+
+
 _SERIES_RE = re.compile(
     r"""^\s*
         (?P<coeff>[-+]?[^t*\s]*)          # leading coefficient, may be empty
@@ -191,6 +204,8 @@ def valuation_of_series(text: str):
     coeff = (m.group("coeff") or "").strip()
     if coeff in ("", "+", "-"):
         coeff = coeff + "1"
+    if re.match(_EXPONENT_NOTATION, coeff):
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
     try:
         c = Fraction(coeff)
     except ValueError:

@@ -16,7 +16,9 @@ For each random plane map it checks, with everything exact:
   * agreement of the product and staircase assemblies, with any disagreement
     classified by the membership oracle,
   * that a transversal full complex leaves every restricted complex
-    transversal, the implication `tropnp compute`'s gate rests on,
+    transversal, the implication `tropnp compute`'s gate rests on, and
+    that the gate's verdict, read off the lifted Cayley polytope, is the
+    full complex's,
   * and, whenever every produced complex is transversal, a full grid
     comparison between the engine and the oracle.
 """
@@ -29,7 +31,9 @@ from tropnp.engine import (GenericityError, TNPPiece, TNPSet, analyze_gamma,
                            analyze_sigma, cell_contribution)
 from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.oracle import grid_compare, in_tnp
-from tropnp.subdivision import _argmax_at, decomposition, duality_violations
+from tropnp.subdivision import (_argmax_at, cayley_profiles, decomposition,
+                                duality_violations)
+from tropnp.subdivision import transversal as subdivision_transversal
 from tropnp.tropical import MINUS_INF, TropicalMap, TropicalPolynomial
 
 from conftest import canonical_key_from, rank
@@ -78,6 +82,8 @@ class MapReport:
     transversal: bool = True
     #: full complex transversal => every restricted complex transversal
     gate_implication_ok: bool = True
+    #: the Cayley-profile verdict equals the full complex's
+    cayley_verdict_ok: bool = True
     duality_ok: bool = True
     pieces_ok: bool = True
     non_pre_origin_ok: bool = True
@@ -92,6 +98,7 @@ class MapReport:
     def ok(self) -> bool:
         return (self.duality_ok and self.pieces_ok and self.non_pre_origin_ok
                 and self.bijection_ok and self.gate_implication_ok
+                and self.cayley_verdict_ok
                 and self.oracle_ok
                 and self.unclassified == 0)
 
@@ -166,6 +173,8 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     _check_profiles(xi)
     _check_closures(xi)
     full_transversal = transversal = xi.is_transversal()[0]
+    report.cayley_verdict_ok = full_transversal == all(
+        map(subdivision_transversal, cayley_profiles(n, m.term_maps())))
 
     tup = delta0(m)
     faces = enumerate_tuple_faces(tup)
@@ -263,6 +272,8 @@ def summarize(reports) -> str:
         f"bijection failures:      {sum(not r.bijection_ok for r in reports)}",
         f"gate implication breaks: "
         f"{sum(not r.gate_implication_ok for r in reports)}",
+        f"Cayley verdict breaks:   "
+        f"{sum(not r.cayley_verdict_ok for r in reports)}",
         f"genericity refusals:     {sum(r.genericity_failure for r in reports)}",
         f"assembly disagreements:  {sum(len(r.disagreements) for r in reports)}",
         f"unclassified:            {sum(r.unclassified for r in reports)}",

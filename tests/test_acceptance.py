@@ -138,6 +138,9 @@ def test_criterion_6_randomized_property_suite(suite_reports):
         assert r.gate_implication_ok, \
             f"transversal full complex, offending restricted one on map " \
             f"{r.seed_index}"
+        assert r.cayley_verdict_ok, \
+            f"Cayley verdict differs from the full complex on map " \
+            f"{r.seed_index}"
         if r.oracle_checked:
             assert r.oracle_ok, f"oracle mismatch on map {r.seed_index}"
     checked = sum(r.oracle_checked for r in reports)

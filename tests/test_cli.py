@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropnp import cli, engine
 from tropnp.cli import (_transversality_report, dump_doc, main,
                         parse_input_spec, parse_output_doc, rat_str)
 from tropnp.engine import (GenericityError, TNPSet, analyze_gamma,
                            analyze_sigma, cell_contribution, tnp_set)
 from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.geom import union_equal
-from tropnp.subdivision import corner_locus_pieces
+from tropnp.subdivision import corner_locus_pieces, decomposition
 
 from conftest import fixture_path, reference_transversality_report
 from property_suite import random_map
@@ -74,12 +75,18 @@ def _doc(first_component, n=2):
     (_doc([{"exp": [1, 0], "series": "t^1/0"}]), []),
     (_doc([{"exp": [1, 0], "val": "1/0"}]), []),
     (_doc([GOOD_TERM], n=2.5), []),
+    (_doc([{"exp": [1, 0], "val": "1e-9999999"}]), []),
+    (_doc([{"exp": [1, 0], "series": "1E-9999999t^2"}]), []),
     (None, ["--point=1,x"]),
     (None, ["--point=1,2,3"]),
+    (None, ["--point=1e-9999999,0"]),
 ], ids=["term-not-an-object", "non-integer-exponent", "zero-series",
         "zero-series-exponent-denominator", "zero-denominator",
-        "non-integer-n", "non-rational-point", "point-of-wrong-dimension"])
+        "non-integer-n", "exponent-notation-val", "exponent-notation-series",
+        "non-rational-point", "point-of-wrong-dimension",
+        "exponent-notation-point"])
 def test_malformed_input_exits_1_with_one_line(tmp_path, capsys, doc, extra):
+    # Fraction expands "1e-9999999" into a power of ten: refused, not parsed
     if doc is None:
         cmd, path = "oracle", fixture_path("map2d.json")
     else:
@@ -140,7 +147,10 @@ def test_output_document_without_pieces_is_refused(tmp_path, capsys):
     for doc, missing in [({"schema": "tnp/1", "n": 2}, "'tnp'"),
                          ({"schema": "tnp/1", "n": 2, "tnp": {"pieces": [
                              {"vertices": [["x", "1"]], "rays": [],
-                              "lineality": []}]}}, "piece 0")]:
+                              "lineality": []}]}}, "piece 0"),
+                         ({"schema": "tnp/1", "n": 2, "tnp": {"pieces": [
+                             {"vertices": [["1e-9999999", "1"]], "rays": [],
+                              "lineality": []}]}}, "exponent notation")]:
         f = tmp_path / "doc.json"
         f.write_text(json.dumps(doc))
         code, _, err = run(capsys, "newton", "--tnp", str(f))
@@ -270,6 +280,23 @@ class TestTransversalityGate:
                              fixture_path("map3d.json"))
         assert (code, out, err) == (2, "", expected)
         assert "  face=52 cells=[2, 3, 14]\n" in err
+
+    def test_an_accepted_map_builds_no_complex(self, monkeypatch, map2d,
+                                               map3d):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decomposition(*args, **kwargs)
+
+        for module in (cli, engine):
+            monkeypatch.setattr(module, "decomposition", counted)
+        faces = enumerate_tuple_faces(delta0(map2d))
+        assert _transversality_report(map2d, faces) == []
+        assert calls == []
+        faces = enumerate_tuple_faces(delta0(map3d))
+        assert _transversality_report(map3d, faces)
+        assert len(calls) == 1 + len(faces)
 
     def test_agrees_with_the_all_face_gate(self):
         rng = random.Random(1103)

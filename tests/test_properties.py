@@ -15,6 +15,8 @@ class TestRandomizedSmoke:
             assert r.non_pre_origin_ok
             assert r.bijection_ok, f"bijection broken on map {r.seed_index}"
             assert r.gate_implication_ok, f"gate broken on map {r.seed_index}"
+            assert r.cayley_verdict_ok, \
+                f"Cayley verdict broken on map {r.seed_index}"
             assert r.unclassified == 0
             if r.oracle_checked:
                 assert r.oracle_ok, f"oracle mismatch on map {r.seed_index}"

@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from tropnp.cli import load_input
 from tropnp.geom import Polyhedron, _homog_ineq, convex_hull, vdot, vsub
-from tropnp.subdivision import (FactorCell, MixedSubdivision,
-                                corner_locus_pieces, decomposition,
-                                duality_violations, factor_cells,
-                                regular_subdivision)
+from tropnp.subdivision import (FactorCell, MixedSubdivision, _refine,
+                                cayley_profiles, corner_locus_pieces,
+                                decomposition, duality_violations,
+                                factor_cells, regular_subdivision,
+                                transversal)
 from tropnp.tropical import MINUS_INF, is_minus_inf
+
+from conftest import fixture_path
+from property_suite import random_map
 
 F = Fraction
 
@@ -236,3 +241,58 @@ def test_factor_cells_match_the_face_lattice_construction():
         assert list(factor_cells(n, terms, level)) \
             == _face_lattice_factor_cells(n, terms, level), (n, terms, level)
         checked += 1
+
+
+def _refine_profiles(n, term_maps):
+    """The dual points of every cell found by the refinement search."""
+    lists = [factor_cells(n, terms) for terms in term_maps]
+    return sorted(tuple(fc.dual_points for fc in profile)
+                  for profile, _ in _refine(n, lists))
+
+
+class TestCayleyProfiles:
+    """The cells read off the upper faces of the lifted Cayley polytope that
+    meet every layer are the cells of the refinement search."""
+
+    @staticmethod
+    def profiles(n, term_maps):
+        got = cayley_profiles(n, term_maps)
+        assert len(set(got)) == len(got)
+        assert sorted(got) == _refine_profiles(n, term_maps)
+        return got
+
+    def test_seeded_maps(self):
+        rng = random.Random(6151)
+        for n, count, max_terms, exp_range in ((2, 60, 5, 4), (3, 30, 3, 2),
+                                               (4, 8, 3, 1)):
+            for _ in range(count):
+                m = random_map(rng, n=n, max_terms=max_terms,
+                               exp_range=exp_range)
+                self.profiles(n, m.term_maps())
+
+    def test_two_term_components(self):
+        # 2n lifted points in R^(2n): the hull lies in a hyperplane that
+        # involves the lift, so every face is exposed by some (x, lambda, 1)
+        rng = random.Random(77)
+        for n in (2, 3, 4):
+            m = random_map(rng, n=n, min_terms=2, max_terms=2, exp_range=3)
+            self.profiles(n, m.term_maps())
+        lines = [{(1, 0): F(0), (0, 1): F(0)}, {(1, 1): F(0), (2, 1): F(3)}]
+        assert len(self.profiles(2, lines)) == 9
+
+    def test_a_single_term_component(self):
+        curve = {(1, 0): F(0), (0, 1): F(0), (1, 1): F(2), (2, 1): F(-1)}
+        got = self.profiles(2, [{(1, 2): F(3)}, curve])
+        assert all(p[0] == ((1, 2),) for p in got)
+        assert len(got) == len(factor_cells(2, curve))
+
+    def test_coincident_walls(self):
+        m, _ = load_input(fixture_path("map2d_deg.json"))
+        got = self.profiles(2, m.term_maps())
+        cx = decomposition(m.term_maps(), n=2)
+        assert all(map(transversal, got)) == cx.is_transversal()[0]
+
+    def test_refused_map(self, map3d):
+        got = self.profiles(3, map3d.term_maps())
+        assert not all(map(transversal, got))
+        assert not decomposition(map3d.term_maps(), n=3).is_transversal()[0]

@@ -159,6 +159,15 @@ class TestSeriesParsing:
         assert val == -2
         assert notes
 
+    def test_exponent_notation_rejected(self):
+        # Fraction would expand the exponent into a power of ten
+        with pytest.raises(ValueError, match="exponent notation"):
+            valuation_of_series("-.5E-9999999*t^2")
+        # a coefficient that is not a decimal keeps its notice
+        assert valuation_of_series("et^2") == (F(-2), [
+            "non-rational coefficient part 'e' in 'et^2' discarded; only "
+            "the exponent of t matters"])
+
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ValueError):
             valuation_of_series("0")
