@@ -377,7 +377,7 @@ def cmd_oracle(args) -> int:
             engine = _document_set(parsed)
         else:
             engine = tnp_set(F)
-        box = _parse_box(args.box, F.n) if args.box else None
+        box = _parse_box(args.box, "box", F.n) if args.box else None
         report = grid_compare(F, engine, box=box, resolution=args.res)
         doc["grid"] = {
             "points": report.points,
@@ -407,13 +407,14 @@ def _parse_point(text: str, n: int):
     return [parse_rational(v) for v in coords]
 
 
-def _parse_box(text: str, n: int):
+def _parse_box(text: str, name: str, n: int):
     parts = text.split(";")
-    if len(parts) == 1:
-        return [tuple(_parse_point(parts[0], 2))] * n
-    if len(parts) != n:
-        raise InputError(f"box needs 1 or {n} 'lo,hi' groups")
-    return [tuple(_parse_point(part, 2)) for part in parts]
+    if len(parts) not in (1, n):
+        raise InputError(f"{name} needs 1 or {n} 'lo,hi' groups")
+    box = [tuple(_parse_point(part, 2)) for part in parts]
+    if any(lo >= hi for lo, hi in box):
+        raise InputError(f"{name} {text!r} needs lo < hi on every axis")
+    return box if len(box) == n else box * n
 
 
 def cmd_faces(args) -> int:
@@ -563,12 +564,7 @@ def cmd_plot(args) -> int:
     if F.n != 2:
         print(f"plot: only dimension 2 is drawable, got {F.n}", file=sys.stderr)
         return EXIT_PLOT_DIM
-    window = None
-    if args.window:
-        window = tuple(_parse_box(args.window, 2))
-        if any(lo >= hi for lo, hi in window):
-            raise InputError(f"window {args.window!r} needs lo < hi on "
-                             f"both axes")
+    window = tuple(_parse_box(args.window, "window", 2)) if args.window else None
     s = tnp_set(F)
     y_overlay = None
     if args.point:

@@ -3,13 +3,14 @@
 For each component support A_i the extended polytope adjoins the origin:
 conv(A_i u {0}), and Delta0 is their Minkowski sum.  A tuple-face picks one
 face per member so that the Minkowski sum of the picks is a face of Delta0.
-The tuple-faces are therefore the faces of Delta0, read off its canonical
-H-representation: their vertex sets are the ANDs of the facet incidence
-masks, and a face's closed outer normal cone is spanned by the normals of
-the facets containing it plus the equality normals (`Polyhedron.normal_fan`).
-A witness normal in the relative interior of that cone exposes the face on
-Delta0 and the picked face on every member, so the per-member support
-points and origin flags are read off the witness.  Classification flags:
+By the Cayley trick (Huber, Rambau and Santos, JEMS 2, 2000) these are the
+faces of the Cayley polytope conv{(a, e_i) : a in A_i u {0}} that meet every
+layer, read off its facet masks as `subdivision` reads lifted hulls, with no
+lift.  Delta0 is never built: a face's id follows its dimension and its
+vertices, the sums of the one-point-per-layer faces below it.  A witness
+normal in the relative interior of a face's normal cone exposes the picked
+face on every member, so the per-member support points and origin flags
+are read off the witness.  Classification flags:
 
 * origin: every member face contains the origin,
 * pre_origin: some member face contains the origin,
@@ -17,7 +18,7 @@ points and origin flags are read off the witness.  Classification flags:
   coordinate (a cone ray has one, or the lineality is nonzero) and no
   member face degenerates to the origin vertex.
 
-The member faces and the summed face are polytopes built only when read.
+The member faces are polytopes built only when read.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .geom import (DIM_CAP, Polyhedron, convex_hull,
-                   positive_coordinate_witness, primitive)
+from .geom import (DIM_CAP, Polyhedron, _ireduce, _positive_direction,
+                   convex_hull, int_rref, matrix_rank, primitive, reduce_mod)
+from .subdivision import _cayley_faces
 from .tropical import TropicalMap
 
 
@@ -38,10 +40,10 @@ class DimensionCapExceeded(ValueError):
 
 @dataclass(frozen=True)
 class PolytopeTuple:
-    """The extended Newton polytopes of a map together with their sum."""
+    """The extended Newton polytopes of a map and their Cayley polytope."""
     members: tuple            # one Polyhedron conv(A_i u {0}) per component
-    sum: Polyhedron
     supports: tuple           # per component, the sorted integer exponents
+    cayley: tuple = field(repr=False, compare=False)  # of the A_i u {0}
     #: member faces by (i, argmax, origin on the face), shared by the
     #: tuple-faces of the map
     _member_faces: dict = field(default_factory=dict, init=False,
@@ -54,7 +56,7 @@ class PolytopeTuple:
 
     @property
     def n(self) -> int:
-        return self.sum.n
+        return self.members[0].n
 
     def member_face(self, i: int, argmax: frozenset, has_origin: bool,
                     witness) -> Polyhedron:
@@ -102,16 +104,11 @@ class TupleFace:
                                           self.witness_normal)
                      for i, s in enumerate(self.argmax))
 
-    @cached_property
-    def sum_face(self) -> Polyhedron:
-        return self.tup.sum.face_in_direction(self.witness_normal)
-
 
 def delta0(supports: Sequence, n: int = None, dim_cap: int = DIM_CAP) -> PolytopeTuple:
-    """Extended Newton polytopes conv(support_i u {0}) and their Minkowski sum.
-
-    Accepts a TropicalMap or a list of exponent collections.
-    """
+    """Extended Newton polytopes conv(support_i u {0}) and the Cayley
+    polytope of those point sets, the origin last in each; accepts a
+    TropicalMap or a list of exponent collections."""
     if isinstance(supports, TropicalMap):
         n = supports.n
         supports = [p.support for p in supports]
@@ -123,39 +120,40 @@ def delta0(supports: Sequence, n: int = None, dim_cap: int = DIM_CAP) -> Polytop
     origin = tuple([0] * n)
     ints = tuple(tuple(sorted({tuple(int(x) for x in p) for p in sup} - {origin}))
                  for sup in supports)
-    members = tuple(convex_hull(list(sup) + [origin]) for sup in ints)
-    acc = members[0]
-    for p in members[1:]:
-        acc = acc.minkowski_sum(p)
-    return PolytopeTuple(members, acc.dual_description(), ints)
+    layers = [sup + (origin,) for sup in ints]
+    return PolytopeTuple(tuple(map(convex_hull, layers)), ints,
+                         _cayley_faces(layers))
 
 
 def enumerate_tuple_faces(tup: PolytopeTuple) -> list:
-    """All tuple-faces: one per proper face of the summed polytope, plus the
-    improper face when the sum is lower-dimensional.
+    """All tuple-faces: one per face of the Cayley polytope that meets every
+    layer, so per proper face of Delta0, and the improper face when Delta0
+    is lower-dimensional (its normal cone, the supports' orthogonal
+    complement, then carries genuine contributions).
 
-    The faces and their closed outer normal cones are read off the sum's
-    facets (`Polyhedron.normal_fan`).  The witness normal is the sum of the
-    cone's rays, which lies in its relative interior, or a lineality
-    direction when the cone has no rays.  The improper face of a
-    full-dimensional sum has a trivial normal cone and can never matter,
-    but when all supports degenerate onto a common lower-dimensional
-    subspace its normal cone is the orthogonal complement and it carries
-    genuine contributions, so it is kept.  Each member's argmax set and
-    origin flag come from the witness: with t the member's largest value
-    <w, a> over its support, the support points at t are on the member face
-    when t >= 0, and the origin is on it when t <= 0.
-
-    Face ids follow (dimension of the summed face, its sorted vertices).
+    A face's cone has as rays the primitive x-parts of the normals of the
+    Cayley facets through it, reduced modulo the `int_rref` of the
+    equalities' x-parts, which span its lineality.  The witness normal is
+    the sum of the rays, or the first lineality row when there are none.  A
+    member's argmax set is its support points at the top value t of <w, a>
+    when t >= 0, and the origin is on its face when t <= 0.  Face ids follow
+    (dimension of the summed face, its sorted vertices), which are the sums
+    of the one-point-per-layer faces below it.
     """
     n = tup.n
-    verts = [tuple(int(x) for x in v) for v in tup.sum.vertices]
+    ineqs, eqs, facet_masks, cayley = tup.cayley
+    lins, pivots = int_rref([a[:n] for a, _ in eqs])
+    normals = [_ireduce(reduce_mod(a[:n], lins, pivots)) for a, _ in ineqs]
+    layers = [sup + ((0,) * n,) for sup in tup.supports]
+    vertices = [(mask, tuple(map(sum, zip(*(
+        layer[part.bit_length() - 1] for part, layer in zip(parts, layers))))))
+        for mask, parts in cayley if all(p & (p - 1) == 0 for p in parts)]
     keyed = []
-    for mask, cone in tup.sum.normal_fan():
-        rays = cone.rays
-        witness = primitive(map(sum, zip(*rays)) if rays else cone.lineality[0])
-        dim = n - cone.dim
-        key = (dim, tuple(v for k, v in enumerate(verts) if mask >> k & 1))
+    for mask, _ in cayley:
+        rays = [r for r, m in zip(normals, facet_masks) if mask & m == mask]
+        witness = primitive(map(sum, zip(*rays)) if rays else lins[0])
+        dim = n - len(lins) - matrix_rank(rays)
+        key = (dim, tuple(sorted(v for m, v in vertices if mask & m == m)))
         argmax, origin_members = [], set()
         for i, sup in enumerate(tup.supports):
             values = [sum(map(mul, witness, a)) for a in sup]
@@ -165,7 +163,7 @@ def enumerate_tuple_faces(tup: PolytopeTuple) -> list:
             if top <= 0:
                 origin_members.add(i)
         degenerate = any(not argmax[i] for i in origin_members)
-        positive = positive_coordinate_witness(cone) is not None
+        positive = _positive_direction(rays, lins) is not None
         keyed.append((key, witness, dim, tuple(argmax),
                       frozenset(origin_members), positive and not degenerate))
     keyed.sort(key=lambda e: e[0])

@@ -908,17 +908,21 @@ def convex_hull(points: Sequence) -> Polyhedron:
 
 
 def positive_coordinate_witness(p: Polyhedron) -> Optional[IVec]:
-    """A primitive direction of p's recession cone with a positive
+    """A primitive recession direction of p with a positive coordinate."""
+    return _positive_direction(p.rays, p.lineality)
+
+
+def _positive_direction(rays, lins) -> Optional[IVec]:
+    """A primitive direction of cone(rays) + span(lins) with a positive
     coordinate, or None when that cone lies in the nonpositive orthant.
 
     The orthant is closed under nonnegative combinations, so scanning the
     generators decides it exactly: a ray with a positive entry, else the
     first lineality direction or its negative.
     """
-    for r in p.rays:
+    for r in rays:
         if any(x > 0 for x in r):
             return r
-    lins = p.lineality
     if lins:
         return lins[0] if any(x > 0 for x in lins[0]) else vneg_int(lins[0])
     return None

@@ -62,28 +62,40 @@ def _entries(n, terms, level):
     return entries
 
 
-def _upper_face_masks(dim: int, lifted: Sequence) -> set:
-    """Point masks (bit k for `lifted[k]`) of the faces of conv(lifted) in
-    R^dim exposed by some (x, 1), the last coordinate being the lift.
+def _cayley_faces(layers: Sequence[Sequence], lifts=None):
+    """Point masks of the Cayley polytope conv{(p, e_i) : p in layers[i]},
+    lifted to conv{(p, e_i, lift)} by `lifts` (a value per point) if given;
+    the first unit vector is dropped, so that one layer is its own hull.
 
-    Such a face is an AND of facet-incidence masks, taken over all lifted
-    points and not only the vertices, with an upper facet among them; or
-    any face at all, the hull itself too, when an equality involves the
-    last coordinate.
+    Returns the hull's canonical `hrep()`, per inequality the mask of the
+    points on its facet (bit k for the k-th point, layer by layer, all of
+    them and not only vertices), and per face meeting every layer (mask,
+    per-layer masks).  The faces are the ANDs of facet masks, the hull too
+    when an equality holds on it; lifted, only those exposed by some (x, 1):
+    the ANDs with an upper facet, or all when an equality involves the lift.
     """
-    ineqs, eqs = Polyhedron.from_generators(dim, lifted).hrep()
-    points = [_homog_point(p) for p in lifted]
+    points, spans = [], []
+    for i, layer in enumerate(layers):
+        unit = tuple(int(j == i) for j in range(1, len(layers)))
+        spans.append((len(points), (1 << len(layer)) - 1))
+        points += [p + unit for p in layer]
+    if lifts is not None:
+        points = [p + (c,) for p, c in zip(points, itertools.chain(*lifts))]
+    ineqs, eqs = Polyhedron.from_generators(len(points[0]), points).hrep()
+    homog = [_homog_point(p) for p in points]
     facet_masks = []
     for a, b in ineqs:
         # the homogenized row of a . p <= b, zero on the facet's hyperplane
         h = (b.numerator,) + tuple(-x for x in a)
-        facet_masks.append(sum(1 << k for k, q in enumerate(points)
+        facet_masks.append(sum(1 << k for k, q in enumerate(homog)
                                if vdot(h, q) == 0))
-    if any(a[-1] != 0 for a, _ in eqs):
-        seeds = [(1 << len(lifted)) - 1]
-    else:
+    if lifts is not None and not any(a[-1] != 0 for a, _ in eqs):
         seeds = [m for m, (a, _) in zip(facet_masks, ineqs) if a[-1] > 0]
-    return mask_closure(seeds, facet_masks)
+    else:
+        seeds = [(1 << len(points)) - 1] if eqs else facet_masks
+    faces = [(m, [m >> s & full for s, full in spans])
+             for m in mask_closure(seeds, facet_masks)]
+    return ineqs, eqs, facet_masks, [(m, p) for m, p in faces if all(p)]
 
 
 #: Several n = 3 maps' working sets (about 250 keys each); the oracle keys
@@ -101,8 +113,8 @@ def _build_factor_cells(n: int, terms: tuple, level) -> tuple:
         return (FactorCell(frozenset() if is_level else frozenset([exp]),
                            is_level, (), (), (exp,)),)
 
-    found = _upper_face_masks(
-        n + 1, [exp + (coeff,) for exp, coeff, _ in entries])
+    *_, found = _cayley_faces([[exp for exp, _, _ in entries]],
+                              [[coeff for _, coeff, _ in entries]])
 
     pair_h = {}
 
@@ -118,7 +130,7 @@ def _build_factor_cells(n: int, terms: tuple, level) -> tuple:
         return h
 
     cells = []
-    for mask in found:
+    for mask, _ in found:
         members = [k for k in range(len(entries)) if mask >> k & 1]
         base = members[0]
         eq_h = tuple(constraint(base, k) for k in members[1:])
@@ -162,24 +174,14 @@ def cayley_profiles(n: int, term_maps: Sequence[Mapping]) -> list:
     conv{(a, e_i, c_a) : a in A_i} that meet every layer (Huber, Rambau and
     Santos, JEMS 2, 2000): (x, lambda, 1) exposes the points attaining
     max_i (f_i(x) + lambda_i), and with lambda_i = -f_i(x) those are the
-    argmax sets of all factors at x.  The first layer's unit vector is
-    dropped, which leaves the polytope affinely the same.
+    argmax sets of all factors at x.
     """
-    lifted, layers, spans = [], [], []
-    for i, terms in enumerate(term_maps):
-        unit = tuple(int(j == i) for j in range(1, len(term_maps)))
-        exps = sorted(terms)
-        layers.append(exps)
-        spans.append((len(lifted), (1 << len(exps)) - 1))
-        lifted += [exp + unit + (Fraction(terms[exp]),) for exp in exps]
-    profiles = []
-    for mask in _upper_face_masks(n + len(term_maps), lifted):
-        parts = [mask >> s & full for s, full in spans]
-        if all(parts):
-            profiles.append(tuple(
-                tuple(e for k, e in enumerate(exps) if part >> k & 1)
-                for part, exps in zip(parts, layers)))
-    return profiles
+    layers = [sorted(terms) for terms in term_maps]
+    *_, faces = _cayley_faces(layers, [[Fraction(terms[e]) for e in exps]
+                                      for terms, exps in zip(term_maps, layers)])
+    return [tuple(tuple(e for k, e in enumerate(exps) if part >> k & 1)
+                  for part, exps in zip(parts, layers))
+            for _, parts in faces]
 
 
 def transversal(duals: Sequence[Sequence]) -> bool:

@@ -1,5 +1,6 @@
 import os
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -26,6 +27,12 @@ def normal_cone_of_face(poly, active_facets):
     return Polyhedron.from_generators(
         poly.n, [(0,) * poly.n], [primitive(ineqs[i][0]) for i in active_facets],
         [primitive(a) for a, _ in eqs])
+
+
+def minkowski_sum_of(polytopes):
+    """The Minkowski sum, in canonical form: Delta0 of `tup.members`, or the
+    summed face of a tuple-face's `members`."""
+    return reduce(Polyhedron.minkowski_sum, polytopes).dual_description()
 
 
 def reference_transversality_report(F, faces):

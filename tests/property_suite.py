@@ -36,7 +36,7 @@ from tropnp.subdivision import (_argmax_at, cayley_profiles, decomposition,
 from tropnp.subdivision import transversal as subdivision_transversal
 from tropnp.tropical import MINUS_INF, TropicalMap, TropicalPolynomial
 
-from conftest import canonical_key_from, rank
+from conftest import canonical_key_from, minkowski_sum_of, rank
 
 F = Fraction
 
@@ -192,8 +192,9 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
             transversal = False
 
         if all(ctx.restricted):
+            summed = minkowski_sum_of(face.members)
             inside = [c for c in xi.cells
-                      if face.sum_face.contains_polyhedron(c.dual)]
+                      if summed.contains_polyhedron(c.dual)]
             if len(inside) != len(ctx.complex.cells):
                 report.bijection_ok = False
             else:

@@ -133,9 +133,13 @@ MAP2D = fixture_path("map2d.json")
      ["window", "0,0;0,0"]),
     (["plot", "--input", MAP2D, "--svg", os.devnull, "--window", "1,0;1,0"],
      ["window", "1,0;1,0"]),
+    (["oracle", "--input", MAP2D, "--grid", "--box=3,1"], ["box", "3,1"]),
+    (["oracle", "--input", MAP2D, "--grid", "--box=0,1;2,2"],
+     ["box", "0,1;2,2"]),
 ], ids=["newton-tnp-on-an-input", "against-an-input", "res-zero",
         "res-negative", "newton-without-a-source", "newton-with-two-sources",
-        "plot-empty-window", "plot-reversed-window"])
+        "plot-empty-window", "plot-reversed-window", "oracle-reversed-box",
+        "oracle-empty-box-axis"])
 def test_refused_arguments_exit_1_with_one_line(capsys, argv, names):
     code, out, err = run(capsys, *argv)
     assert code == 1 and not out
@@ -491,6 +495,15 @@ PINNED_DOCUMENTS = [
      "ed7a524bfc00a58cf15ce4d20353f52a28c7d1819da8fa700809df78521556ea"),
     (["faces", "--input", "map3d.json"],
      "d7bc5460a3c051d6387bcfd00a34d6ef1e35f63b14460eccbcc174ec7920f4c7"),
+    (["faces", "--input", "map2d.json"],
+     "6efc509df7955375591520756b4aa314a4e88917f6e152e82c1abe52140575ba"),
+    (["faces", "--input", "map2d_deg.json"],
+     "543e4e41cb8a16a5c9000489169efdeed3f12f6a5ecb897b9fe0e1b0175cc3f1"),
+    # Delta0 is a segment: the improper face is written too
+    (["faces", "--input", "map2d_flat.json"],
+     "65f9f3b05cccf4952a852e3fcf26c5c4611e13d25befc619e46a80d8e68cf19d"),
+    (["compute", "--input", "map2d_flat.json"],
+     "151e65ab8a4238cb8584adb4e2251e59a916bb1b84b52703372dc91e4e1e558f"),
 ]
 
 

@@ -9,6 +9,8 @@ from tropnp.geom import Polyhedron, union_equal
 from tropnp.subdivision import corner_locus_pieces, decomposition
 from tropnp.tropical import MINUS_INF, TropicalMap, TropicalPolynomial
 
+from conftest import minkowski_sum_of
+
 F = Fraction
 
 
@@ -282,8 +284,9 @@ class TestBijection:
             if any(not terms for terms in ctx.restricted):
                 continue
             checked += 1
+            summed = minkowski_sum_of(face.members)
             inside = [c for c in xi.cells
-                      if face.sum_face.contains_polyhedron(c.dual)]
+                      if summed.contains_polyhedron(c.dual)]
             assert len(inside) == len(ctx.complex.cells)
             # each such cell lies in exactly one restricted cell
             for c in inside:

@@ -11,7 +11,7 @@ from tropnp.geom import convex_hull, primitive
 from tropnp.subdivision import _factor_cells
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
-from conftest import normal_cone_of_face, restrict
+from conftest import minkowski_sum_of, normal_cone_of_face, restrict
 
 F = Fraction
 
@@ -33,10 +33,11 @@ def reference_tuple_faces(tup):
     of the sum in (dim, canonical key) order, then the improper face of a
     lower-dimensional sum; the normal cone from the facet normals, the
     members exposed by its witness, the flags from origin containment."""
-    entries = [(face, normal_cone_of_face(tup.sum, active))
-               for face, active in tup.sum.proper_faces_with_active()]
-    if tup.sum.dim < tup.n:
-        entries.append((tup.sum, normal_cone_of_face(tup.sum, ())))
+    total = minkowski_sum_of(tup.members)
+    entries = [(face, normal_cone_of_face(total, active))
+               for face, active in total.proper_faces_with_active()]
+    if total.dim < tup.n:
+        entries.append((total, normal_cone_of_face(total, ())))
     faces = []
     for fid, (sum_face, cone) in enumerate(entries):
         witness = primitive(map(sum, zip(*cone.rays)) if cone.rays
@@ -70,7 +71,7 @@ def assert_matches_reference(fmap, tup, faces, thorough=True):
                          for comp, m in zip(fmap.components, r.members))
         assert tuple(map(set, f.argmax)) == tuple(map(set, expected))
         if thorough:
-            assert f.sum_face == r.sum_face
+            assert minkowski_sum_of(f.members) == r.sum_face
             assert analyze_gamma(fmap, f).restricted == expected
 
 
@@ -133,9 +134,15 @@ class TestDelta0:
         assert set(tup.members[0].vertices) == {(0, 0), (1, 0)}
         assert tup.members[0].dim == 1
 
-    def test_sum_is_the_minkowski_sum(self, tup2):
-        assert tup2.sum.equal_as_sets(
+    def test_sum_is_the_minkowski_sum(self, tup2, faces2):
+        # the face ids are keyed on Delta0's vertices, taken as the sums of
+        # the member points of the zero-dimensional tuple-faces
+        points = [minkowski_sum_of(f.members).vertices[0]
+                  for f in faces2 if f.dim == 0]
+        total = minkowski_sum_of(tup2.members)
+        assert total.equal_as_sets(
             tup2.members[0].minkowski_sum(tup2.members[1]))
+        assert sorted(points) == total.vertices
 
     def test_dimension_cap(self):
         sups = [[tuple(1 if j == i else 0 for j in range(5))] for i in range(5)]
@@ -145,21 +152,25 @@ class TestDelta0:
 
 class TestEnumeration:
     def test_one_face_per_proper_face_of_the_sum(self, tup2, faces2):
-        assert len(faces2) == len(tup2.sum.proper_faces())
+        assert len(faces2) == len(minkowski_sum_of(tup2.members).proper_faces())
         assert len(faces2) == 8
 
     def test_witness_exposes_the_sum_face(self, tup2, faces2):
+        total = minkowski_sum_of(tup2.members)
         for f in faces2:
-            exposed = tup2.sum.face_in_direction(f.witness_normal)
-            assert exposed.equal_as_sets(f.sum_face)
+            exposed = total.face_in_direction(f.witness_normal)
+            assert exposed.equal_as_sets(minkowski_sum_of(f.members))
+            assert exposed.dim == f.dim
 
-    def test_member_sum_equals_sum_face(self, faces2, faces3):
-        for faces in (faces2, faces3):
+    def test_member_sum_equals_sum_face(self, tup2, faces2, tup3, faces3):
+        for tup, faces in ((tup2, faces2), (tup3, faces3)):
+            total = minkowski_sum_of(tup.members)
             for f in faces:
                 acc = f.members[0]
                 for m in f.members[1:]:
                     acc = acc.minkowski_sum(m)
-                assert acc.equal_as_sets(f.sum_face)
+                assert acc.equal_as_sets(
+                    total.face_in_direction(f.witness_normal))
 
     def test_collinear_witness_face(self, faces2):
         f = next(f for f in faces2 if f.witness_normal == (1, -2))
@@ -247,11 +258,29 @@ class TestAgainstTheFaceLattice:
             fmap = _random_map(rng)
             tup = delta0(fmap)
             faces = enumerate_tuple_faces(tup)
-            lower += tup.sum.dim < tup.n
+            lower += minkowski_sum_of(tup.members).dim < tup.n
             # summed faces and analyze_gamma on every face of every map
             # would dominate the run time: every fifth map gets them
             assert_matches_reference(fmap, tup, faces, thorough=k % 5 == 0)
         assert lower >= 30
+
+    def test_seeded_maps_in_four_dimensions(self):
+        # 2-3 terms per component with exponents in {0, 1}; the last map's
+        # supports lie in x4 = 0, so that its sum is lower-dimensional and
+        # the improper face is kept; the first map gets the summed faces and
+        # analyze_gamma too
+        rng = random.Random(404)
+        pool = [e for e in itertools.product((0, 1), repeat=4) if any(e)]
+        flat = [e for e in pool if e[3] == 0]
+        for k, exps in enumerate((pool, pool, pool, flat)):
+            fmap = TropicalMap([TropicalPolynomial(4, {
+                e: rng.randint(-5, 5)
+                for e in rng.sample(exps, rng.randint(2, 3))})
+                for _ in range(4)])
+            tup = delta0(fmap)
+            faces = enumerate_tuple_faces(tup)
+            assert_matches_reference(fmap, tup, faces, thorough=k == 0)
+        assert faces[-1].dim == 3 and faces[-1].witness_normal == (0, 0, 0, 1)
 
     def test_improper_face_of_a_lower_dimensional_sum(self):
         tup = delta0([[(1, 1)], [(2, 2), (1, 1)]], n=2)
@@ -263,8 +292,9 @@ class TestAgainstTheFaceLattice:
         assert last.origin and last.dicritical
 
     def test_factor_cell_cache_is_left_alone(self, map3d):
-        # the tuple-faces are read off Delta0's facets and need no factor
-        # cells: the shared cache keeps only what decompositions share
+        # the tuple-faces are read off the Cayley polytope's facets and need
+        # no factor cells: the shared cache keeps only what decompositions
+        # share
         _factor_cells.cache_clear()
         assert enumerate_tuple_faces(delta0(map3d))
         assert _factor_cells.cache_info().currsize == 0
