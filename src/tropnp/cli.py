@@ -5,13 +5,15 @@ or integers, no exponent notation), or leading series terms like "3t^5"
 whose exponent carries the coefficient's valuation (val = -5 here).  All output is canonical: the
 same input always produces byte-identical documents.
 
-Exit codes: 0 success, 1 parse/validation error, 2 transversality or
-genericity violation, 3 dimension cap exceeded, 4 plot on dimension != 2.
+Exit codes: 0 success, 1 parse/validation error (an argument error too),
+2 transversality or genericity violation, 3 dimension cap exceeded, 4 plot
+on dimension != 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -221,39 +223,43 @@ _SCALAR_TEXT = {str: _encode_str, int: int.__repr__,
 
 def _json_text(obj, depth: int, memo: dict) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)` at nesting `depth`, for
-    dicts with str keys, lists, str, int, bool and None; the text of a
-    container is kept in `memo` by (id, depth), so a shared one is encoded
-    once."""
+    dicts with str keys, lists, str, int, bool and None.  The text of a dict
+    is kept in `memo` by (id, depth), so a shared one, a member face above
+    all, is encoded once; lists are written inline."""
     scalar = _SCALAR_TEXT.get(type(obj))
     if scalar is not None:
         return scalar(obj)
     kind = type(obj)
-    if kind is not dict and kind is not list:
+    if kind is list:
+        return _block("[", _texts(obj, depth, memo), depth, "]")
+    if kind is not dict:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     key = (id(obj), depth)
     text = memo.get(key)
-    if text is not None:
-        return text
-    if not obj:
-        text = "{}" if kind is dict else "[]"
-    else:
-        if kind is dict:
-            keys = sorted(obj)
-            if any(type(k) is not str for k in keys):
-                raise TypeError("document keys must be str")
-            values = [obj[k] for k in keys]
-        else:
-            values = obj
-        get = _SCALAR_TEXT.get
-        items = [enc(v) if (enc := get(type(v))) else
-                 _json_text(v, depth + 1, memo) for v in values]
-        if kind is dict:
-            items = [f"{_encode_str(k)}: {t}" for k, t in zip(keys, items)]
-        sep = "\n" + "  " * (depth + 1)
-        text = (("{" if kind is dict else "[") + sep + ("," + sep).join(items)
-                + "\n" + "  " * depth + ("}" if kind is dict else "]"))
-    memo[key] = text
+    if text is None:
+        keys = sorted(obj)
+        if any(type(k) is not str for k in keys):
+            raise TypeError("document keys must be str")
+        values = _texts([obj[k] for k in keys], depth, memo)
+        text = memo[key] = _block(
+            "{", [f"{_encode_str(k)}: {t}" for k, t in zip(keys, values)],
+            depth, "}")
     return text
+
+
+def _texts(values, depth: int, memo: dict) -> list:
+    """The texts of a container's values, one level below `depth`."""
+    get = _SCALAR_TEXT.get
+    return [enc(v) if (enc := get(type(v))) else _json_text(v, depth + 1, memo)
+            for v in values]
+
+
+def _block(open_: str, items: list, depth: int, close: str) -> str:
+    """A container's text at nesting `depth` from its items' texts."""
+    if not items:
+        return open_ + close
+    sep = "\n" + "  " * (depth + 1)
+    return open_ + sep + ("," + sep).join(items) + "\n" + "  " * depth + close
 
 
 def dump_doc(doc: dict, path=None) -> str:
@@ -310,21 +316,42 @@ def _check_dim_cap(n, cap):
 
 def _transversality_report(F, faces):
     """Offending cells of the full decomposition and, when it has some, of
-    the restricted decomposition of every tuple-face.  A restricted complex
-    is the star at infinity of the full one in the face's witness
-    direction, so a transversal full complex leaves no offender.
+    the restricted decomposition of every tuple-face that offends.
 
     The verdict reads the cells' argmax profiles off the lifted Cayley
     polytope of the map (`cayley_profiles`); only a refused map builds the
-    full and the restricted complexes, whose cell ids the list names."""
-    if all(map(transversal, cayley_profiles(F.n, F.term_maps()))):
+    full complex, whose cell ids the list names.  A tuple-face with argmax
+    sets S_i restricts the components K = {i : S_i nonempty}; its restricted
+    complex is the star at infinity of the complex of those components in
+    the face's witness direction (Maclagan and Sturmfels, 2015), whose cells
+    are the ones with profile P_i inside S_i for every i in K.  So a face
+    offends exactly when some non-transversal profile of the components in
+    K lies inside its argmax sets, and only such faces have their
+    restricted complex built, for the ids of its offending cells.  The
+    profiles of each K are read once per map; a K of fewer than two
+    components has no non-transversal cell."""
+    term_maps = F.term_maps()
+
+    def non_transversal(K):
+        return [p for p in cayley_profiles(F.n, [term_maps[i] for i in K])
+                if not transversal(p)]
+
+    everyone = tuple(range(len(term_maps)))
+    bad = {everyone: non_transversal(everyone)}
+    if not bad[everyone]:
         return []
-    cx = decomposition(F.term_maps(), [MINUS_INF] * F.n, n=F.n)
+    cx = decomposition(term_maps, [MINUS_INF] * F.n, n=F.n)
     offenders = [{"face": None, "cells": cx.is_transversal()[1]}]
     for face in faces:
-        ok, bad = analyze_gamma(F, face).complex.is_transversal()
-        if not ok:
-            offenders.append({"face": face.id, "cells": bad})
+        K = tuple(i for i, s in enumerate(face.argmax) if s)
+        if len(K) < 2:
+            continue
+        if K not in bad:
+            bad[K] = non_transversal(K)
+        if any(all(face.argmax[i].issuperset(d) for i, d in zip(K, p))
+               for p in bad[K]):
+            cells = analyze_gamma(F, face).complex.is_transversal()[1]
+            offenders.append({"face": face.id, "cells": cells})
     return offenders
 
 
@@ -579,8 +606,19 @@ def cmd_plot(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose errors are input errors, so that `main` reports them
+    like any other: exit 1 and one line, with no usage block."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    """The `tropnp` parser, built on the first call and reused after it,
+    which pays only for callers running several commands in one process."""
+    ap = _ArgumentParser(
         prog="tropnp",
         description="tropical non-properness set: exact computation and checks")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -631,8 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, SupportError, json.JSONDecodeError, OSError,
             KeyError) as exc:

@@ -18,18 +18,22 @@ are read off the witness.  Classification flags:
   coordinate (a cone ray has one, or the lineality is nonzero) and no
   member face degenerates to the origin vertex.
 
-The member faces are polytopes built only when read.
+The members are read off the same facet masks: the vertices of conv(A_i u
+{0}) are the Cayley vertices on layer i, and a point is one exactly when
+the facets through it meet in that point alone.  So no member hull is
+computed; a member's H-representation is built only when read, and the
+member faces are polytopes built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import mul
+from functools import cached_property, reduce
+from operator import and_, mul
 from typing import Sequence
 
 from .geom import (DIM_CAP, Polyhedron, _ireduce, _positive_direction,
-                   convex_hull, int_rref, matrix_rank, primitive, reduce_mod)
+                   int_rref, matrix_rank, primitive, reduce_mod)
 from .subdivision import _cayley_faces
 from .tropical import TropicalMap
 
@@ -121,8 +125,23 @@ def delta0(supports: Sequence, n: int = None, dim_cap: int = DIM_CAP) -> Polytop
     ints = tuple(tuple(sorted({tuple(int(x) for x in p) for p in sup} - {origin}))
                  for sup in supports)
     layers = [sup + (origin,) for sup in ints]
-    return PolytopeTuple(tuple(map(convex_hull, layers)), ints,
-                         _cayley_faces(layers))
+    cayley = _cayley_faces(layers)
+    return PolytopeTuple(_members(n, layers, cayley[2]), ints, cayley)
+
+
+def _members(n: int, layers: Sequence, facet_masks: Sequence[int]) -> tuple:
+    """conv(layer) per layer, from the layer points at which the Cayley
+    facets through them meet alone: its vertices."""
+    full = (1 << sum(map(len, layers))) - 1
+    members, bit = [], 1
+    for layer in layers:
+        vertices = []
+        for p in layer:
+            if reduce(and_, (m for m in facet_masks if m & bit), full) == bit:
+                vertices.append(p)
+            bit <<= 1
+        members.append(Polyhedron._from_vertices(n, vertices))
+    return tuple(members)
 
 
 def enumerate_tuple_faces(tup: PolytopeTuple) -> list:

@@ -490,6 +490,15 @@ class Polyhedron:
         return self
 
     @classmethod
+    def _from_vertices(cls, n, points) -> "Polyhedron":
+        """The polytope whose vertices are exactly the given distinct points:
+        they are trusted as extreme, so no double description runs until
+        the H-representation is read."""
+        self = cls._from_vdata(n, [_homog_point(p) for p in points], [], [])
+        self._vreduced = True
+        return self
+
+    @classmethod
     def _from_homog_generators(cls, n, lin, rays) -> "Polyhedron":
         """From the lineality and extreme rays of a homogenization cone."""
         self = cls._new(n)

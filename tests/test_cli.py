@@ -15,6 +15,7 @@ from tropnp.engine import (GenericityError, TNPSet, analyze_gamma,
 from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.geom import union_equal
 from tropnp.subdivision import corner_locus_pieces, decomposition
+from tropnp.tropical import TropicalMap, TropicalPolynomial
 
 from conftest import fixture_path, reference_transversality_report
 from property_suite import random_map
@@ -33,6 +34,16 @@ DUPLICATE_CURVE_REFUSAL = """transversality violation; offending cells:
   face=6 cells=[0]
   face=7 cells=[0]
 """
+
+
+#: a map with an offending tuple-face (id 42) whose argmax set in the first
+#: component is empty, so that its restricted complex decomposes by the
+#: other two components alone
+TWO_OF_THREE_OFFENDER = TropicalMap([
+    TropicalPolynomial(3, {(0, 1, 1): 1, (1, 0, 1): -1}),
+    TropicalPolynomial(3, {(1, 0, 2): -1, (1, 1, 0): -1, (1, 2, 0): -1,
+                           (1, 2, 1): 0}),
+    TropicalPolynomial(3, {(1, 0, 0): 1, (1, 0, 1): -1, (1, 1, 0): 1})])
 
 
 def run(capsys, *argv):
@@ -136,15 +147,44 @@ MAP2D = fixture_path("map2d.json")
     (["oracle", "--input", MAP2D, "--grid", "--box=3,1"], ["box", "3,1"]),
     (["oracle", "--input", MAP2D, "--grid", "--box=0,1;2,2"],
      ["box", "0,1;2,2"]),
+    (["compute"], ["compute", "--input"]),
+    (["compute", "--input", MAP2D, "--res", "3"], ["--res 3"]),
+    (["oracle", "--input", MAP2D, "--grid", "--res", "x"], ["--res", "'x'"]),
 ], ids=["newton-tnp-on-an-input", "against-an-input", "res-zero",
         "res-negative", "newton-without-a-source", "newton-with-two-sources",
         "plot-empty-window", "plot-reversed-window", "oracle-reversed-box",
-        "oracle-empty-box-axis"])
+        "oracle-empty-box-axis", "compute-without-input",
+        "compute-with-an-oracle-option", "res-not-an-integer"])
 def test_refused_arguments_exit_1_with_one_line(capsys, argv, names):
     code, out, err = run(capsys, *argv)
     assert code == 1 and not out
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert all(name in err for name in names), err
+
+
+def test_one_parser_serves_a_sequence_of_calls(monkeypatch, capsys):
+    """main reuses the parser it built first; each call answers as it would
+    on a freshly built parser."""
+    sequence = [
+        ["compute", "--product", "--input", MAP2D],
+        ["compute", "--input", MAP2D],
+        ["compute", "--input", MAP2D, "--res", "3"],
+        ["oracle", "--input", MAP2D, "--point=-2,-4"],
+        ["oracle", "--input", MAP2D, "--grid", "--res=3", "--box=-6,0"],
+    ]
+    reused = [run(capsys, *argv) for argv in sequence]
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert reused == [run(capsys, *argv) for argv in sequence]
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--help"])
+    assert exc.value.code == 0
+    assert "--input" in capsys.readouterr().out
 
 
 def test_output_document_without_pieces_is_refused(tmp_path, capsys):
@@ -298,26 +338,38 @@ class TestTransversalityGate:
         faces = enumerate_tuple_faces(delta0(map2d))
         assert _transversality_report(map2d, faces) == []
         assert calls == []
+        # a refusal builds the full complex and one per offending face
         faces = enumerate_tuple_faces(delta0(map3d))
-        assert _transversality_report(map3d, faces)
-        assert len(calls) == 1 + len(faces)
+        offenders = _transversality_report(map3d, faces)
+        assert len(offenders) > 1
+        assert len(calls) == len(offenders)
 
-    def test_agrees_with_the_all_face_gate(self):
+    def test_agrees_with_the_all_face_gate(self, map3d):
         rng = random.Random(1103)
-        refused = 0
-        for _ in range(40):
-            F = random_map(rng, n=3, min_terms=3, max_terms=3, exp_range=2)
+        maps = [map3d, TWO_OF_THREE_OFFENDER]
+        maps += [random_map(rng, n=3, min_terms=3, max_terms=3, exp_range=2)
+                 for _ in range(40)]
+        maps += [random_map(rng, n=2, min_terms=2, max_terms=3, exp_range=2,
+                            val_range=1) for _ in range(40)]
+        refused = {2: 0, 3: 0}
+        face_offenders = {2: 0, 3: 0}
+        for F in maps:
             faces = enumerate_tuple_faces(delta0(F))
             offenders = reference_transversality_report(F, faces)
             assert _transversality_report(F, faces) == offenders
-            refused += bool(offenders)
+            refused[F.n] += bool(offenders)
+            face_offenders[F.n] += len(offenders[1:])
+            if F is TWO_OF_THREE_OFFENDER:
+                assert not faces[42].argmax[0]
+                assert 42 in [o["face"] for o in offenders]
             expected = _pieces_or_refusal(lambda: _all_face_pieces(F, faces))
             for build in (lambda: tnp_set(F, faces=faces), lambda: tnp_set(F)):
                 got = _pieces_or_refusal(lambda: [
                     (p.polyhedron.canonical_key(), p.face_id, p.cell_id)
                     for p in build().pieces])
                 assert got == expected
-        assert 0 < refused < 40
+        assert all(0 < refused[n] < 40 for n in (2, 3)), refused
+        assert all(face_offenders.values()), face_offenders
 
 
 class TestOracleCommand:

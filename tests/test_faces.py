@@ -5,13 +5,16 @@ from types import SimpleNamespace
 
 import pytest
 
+from tropnp.cli import load_input
 from tropnp.engine import analyze_gamma
 from tropnp.faces import (DimensionCapExceeded, delta0, enumerate_tuple_faces)
 from tropnp.geom import convex_hull, primitive
 from tropnp.subdivision import _factor_cells
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
-from conftest import minkowski_sum_of, normal_cone_of_face, restrict
+from conftest import (fixture_path, minkowski_sum_of, normal_cone_of_face,
+                      restrict)
+from property_suite import random_map
 
 F = Fraction
 
@@ -116,7 +119,42 @@ def faces3(tup3):
     return enumerate_tuple_faces(tup3)
 
 
+def _assert_members_are_hulls(tup):
+    """The members read off the Cayley facet masks are conv(A_i u {0}) as
+    `convex_hull` builds them."""
+    origin = (0,) * tup.n
+    for m, sup in zip(tup.members, tup.supports):
+        hull = convex_hull(list(sup) + [origin])
+        assert m.canonical_key() == hull.canonical_key()
+        assert m.dim == hull.dim
+        assert m.hrep() == hull.hrep()
+
+
 class TestDelta0:
+    def test_members_are_the_hulls_on_seeded_maps(self):
+        rng = random.Random(2711)
+        for n in (2, 3, 4):
+            for _ in range(15):
+                _assert_members_are_hulls(delta0(random_map(
+                    rng, n=n, max_terms=5 if n < 4 else 3, exp_range=2)))
+
+    @pytest.mark.parametrize("name", ["map2d", "map2d_deg", "map2d_flat",
+                                      "map3d", "map3d_product"])
+    def test_members_are_the_hulls_on_the_fixtures(self, name):
+        F, _ = load_input(fixture_path(f"{name}.json"))
+        _assert_members_are_hulls(delta0(F))
+
+    def test_members_are_the_hulls_on_hand_cases(self):
+        # (1, 1) inside its triangle; (1, 0) on an edge and no vertex; one
+        # term, a segment; (1, 1) and (2, 2) inside a segment
+        tup = delta0([[(3, 0), (0, 3), (1, 1)], [(2, 0), (1, 0), (0, 2)],
+                      [(1, 2)], [(1, 1), (2, 2), (3, 3)]], n=2)
+        assert [sorted(m.vertices) for m in tup.members] == [
+            [(0, 0), (0, 3), (3, 0)], [(0, 0), (0, 2), (2, 0)],
+            [(0, 0), (1, 2)], [(0, 0), (3, 3)]]
+        _assert_members_are_hulls(tup)
+        _assert_members_are_hulls(delta0([[(2, 1)]], n=2))
+
     def test_first_member_is_a_triangle_with_marked_edges(self, tup2):
         m = tup2.members[0]
         assert set(m.vertices) == {(0, 0), (0, 2), (4, 2)}
