@@ -14,10 +14,13 @@ whose member face misses the origin, which its argmax profile tells
   over the cell closure,
 * the remaining coordinates: free.
 
-Two assemblies exist for the bounded block.  The "product" form bounds each
-coordinate independently by its supremum over the cell; the "staircase"
-form keeps all coordinates coupled through a common preimage point and
-projects; only the product form reads support values and affine images.
+Both assemblies are one affine image of the cell closure's generators,
+widened by rays and lines before a single dual description (`_assemble`):
+an affine image of a polyhedron is the image of its generators.  The
+"staircase" form keeps all coordinates coupled through a common preimage
+point; the "product" form bounds each bending coordinate independently by
+its supremum over the cell (`support_value`), which frees the coordinate
+where the supremum is unbounded.
 The staircase set is contained in the product set, and the two differ
 exactly when the per-coordinate suprema are not attained at a single point
 of the cell.  The coupled form is the default: it is the closure of
@@ -30,10 +33,9 @@ difference between the two against the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geom import Polyhedron, covered_by_union, frac_vec
+from .geom import Polyhedron, frac_vec
 from .subdivision import Cell, CellComplex, decomposition
 from .faces import TupleFace, delta0, enumerate_tuple_faces
 from .tropical import MINUS_INF, TropicalMap
@@ -206,8 +208,7 @@ def cell_contribution(ctx: GammaContext, analysis: SigmaAnalysis,
         return Polyhedron.empty(n)
     if analysis.unrealizable:
         return Polyhedron.empty(n)
-    piece = _assemble_staircase(ctx, analysis) if staircase \
-        else _assemble_product(ctx, analysis)
+    piece = _assemble(ctx, analysis, staircase)
     if piece.dim > n - 1:
         raise GenericityError(
             f"piece of dimension {piece.dim} from face {face.id}, "
@@ -215,59 +216,35 @@ def cell_contribution(ctx: GammaContext, analysis: SigmaAnalysis,
     return piece
 
 
-def _assemble_product(ctx: GammaContext, analysis: SigmaAnalysis) -> Polyhedron:
-    """Each bending origin coordinate bounded by its supremum over the cell;
-    the other origin coordinates confined to the cell's affine image."""
+def _assemble(ctx: GammaContext, analysis: SigmaAnalysis,
+              staircase: bool) -> Polyhedron:
+    """l(C) + cone{-e_i : i a bending origin member} + span{e_j : j a free
+    member}, C the cell closure and l the map x -> (l_i(x) on the origin
+    members, 0 elsewhere), l_i the member's affine form on the cell.  The
+    product form turns each bending row into the constant sup of l_i over C,
+    or into a free line when that supremum is unbounded."""
     n = ctx.face.n
     closure = analysis.cell.closure
-    ineqs, eqs = [], []
-    image_coords, rows, consts = [], [], []
-    for i in sorted(ctx.origin_members):
-        normal, offset = _affine_form(ctx, analysis.cell, i)
-        if i not in analysis.bending:
-            image_coords.append(i)
-            rows.append(normal)
-            consts.append(offset)
-            continue
-        sup = closure.support_value(normal)
-        if sup is not None:
-            e = [Fraction(0)] * n
-            e[i] = Fraction(1)
-            ineqs.append((tuple(e), Fraction(sup + offset)))
-    if image_coords:
-        img_ineqs, img_eqs = closure.affine_image(rows, consts).hrep()
-        for block, out in ((img_ineqs, ineqs), (img_eqs, eqs)):
-            for a, b in block:
-                e = [Fraction(0)] * n
-                for c, coeff in zip(image_coords, a):
-                    e[c] = coeff
-                out.append((tuple(e), b))
-    return Polyhedron.from_hrep(n, ineqs, eqs).dual_description()
-
-
-def _assemble_staircase(ctx: GammaContext, analysis: SigmaAnalysis) -> Polyhedron:
-    """Closure of the coupled virtual image: project {(x, y) : x in cell,
-    y_i = comp_i(x) on the image block, y_i <= comp_i(x) on the bound block}."""
-    n = ctx.face.n
-    closure = analysis.cell.closure
-    ineqs, eqs = [], []
-    cineqs, ceqs = closure.hrep()
-    zero_y = tuple([Fraction(0)] * n)
-    for a, b in cineqs:
-        ineqs.append((tuple(a) + zero_y, b))
-    for a, b in ceqs:
-        eqs.append((tuple(a) + zero_y, b))
-    for i in sorted(ctx.origin_members):
-        normal, offset = _affine_form(ctx, analysis.cell, i)
-        row = [-c for c in normal] + [Fraction(0)] * n
-        row[n + i] = Fraction(1)
-        # y_i - comp_i(x) <= 0, with equality on the image block
-        if i in analysis.bending:
-            ineqs.append((tuple(row), offset))
-        else:
-            eqs.append((tuple(row), offset))
-    lifted = Polyhedron.from_hrep(2 * n, ineqs, eqs)
-    return lifted.project(range(n, 2 * n)).dual_description()
+    zero = (0,) * n
+    rows, consts, rays, lines = [], [], [], []
+    for i in range(n):
+        unit = tuple(int(j == i) for j in range(n))
+        row, const = zero, 0
+        free = i not in ctx.origin_members
+        if not free:
+            row, const = _affine_form(ctx, analysis.cell, i)
+            if i in analysis.bending:
+                if not staircase:
+                    sup = closure.support_value(row)
+                    free = sup is None
+                    row, const = zero, (0 if free else sup + const)
+                if not free:
+                    rays.append(tuple(-x for x in unit))
+        if free:
+            lines.append(unit)
+        rows.append(row)
+        consts.append(const)
+    return closure.affine_image(rows, consts, rays, lines).dual_description()
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +279,3 @@ def tnp_set(F: TropicalMap, *, staircase: bool = True,
     pieces = [p for chunk in parallel_map(work, relevant) for p in chunk]
     return TNPSet(F.n, pieces, "staircase" if staircase else "product")
 
-
-def union_covers(s: TNPSet, target: Polyhedron) -> bool:
-    """Exact containment of a polyhedron in the union of the pieces."""
-    return covered_by_union(target, s.polytopes)

@@ -25,6 +25,9 @@ Conventions
   and all lists are sorted: rays and constraints lexicographically by their
   public form, points by the rational points they stand for.  Equal sets
   get equal canonical forms.
+* Minkowski sums and affine images are built from the operands'
+  generators and keep them unreduced; a double description runs only when
+  the reduced generators or the H-representation are read.
 """
 
 from __future__ import annotations
@@ -59,11 +62,6 @@ def frac_vec(v) -> Vec:
 
 def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, v: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
 
 
 def vdot(u, v):
@@ -332,16 +330,6 @@ def dd_generators(dim: int, equalities: Sequence[IVec], inequalities: Sequence[I
     return list(dd.lin), list(dd.rays)
 
 
-def dd_constraints(dim: int, lineality: Sequence[IVec], rays: Sequence[IVec]):
-    """Constraints (equalities, inequalities) of span(lineality) + cone(rays).
-
-    Polar duality: the constraint normals of C are the generators of
-    {a : a . r >= 0 for rays r, a . l = 0 for lineality l}.
-    """
-    lin_star, rays_star = dd_generators(dim, list(lineality), list(rays))
-    return list(lin_star), list(rays_star)
-
-
 # ---------------------------------------------------------------------------
 # homogenized builder shared by Polyhedron and the refinement machinery
 # ---------------------------------------------------------------------------
@@ -583,7 +571,9 @@ class Polyhedron:
             return
         gens = self._points + [(0,) + r for r in self._rays]
         glin = [(0,) + l for l in self._lins]
-        lin_star, rays_star = dd_constraints(self.n + 1, glin, gens)
+        # polar duality: the constraint rows are the generators of
+        # {h : h . g >= 0 on every generator g, h . l = 0 on the lineality}
+        lin_star, rays_star = dd_generators(self.n + 1, glin, gens)
         # rows with a zero normal are the x0 >= 0 facet or trivial
         hin = {c for c in rays_star if any(c[1:])}
         heq = set()
@@ -680,9 +670,6 @@ class Polyhedron:
         rows = self._hin + self._heq
         return all(vdot(h[1:], l) == 0 for l in other._lins for h in rows)
 
-    def equal_as_sets(self, other: "Polyhedron") -> bool:
-        return self.contains_polyhedron(other) and other.contains_polyhedron(self)
-
     def relative_interior_point(self) -> Vec:
         """The vertex barycenter pushed into the relative interior by the rays."""
         if self.is_empty:
@@ -723,16 +710,6 @@ class Polyhedron:
                   for p in self._points for q in other._points]
         return Polyhedron._from_vdata(self.n, points, self._rays + other._rays,
                                       self._lins + other._lins)
-
-    def translate(self, v) -> "Polyhedron":
-        s, w = _scaled_ints(v)
-        if self.is_empty:
-            return self
-        self._ensure_reduced_vrep()
-        points = [_ireduce((s * p[0],) + tuple(s * x + p[0] * y
-                                                for x, y in zip(p[1:], w)))
-                  for p in self._points]
-        return Polyhedron._from_vdata(self.n, points, self._rays, self._lins)
 
     def _argmax(self, a: IVec):
         """(the reduced points maximising the integer direction a, numerator
@@ -782,8 +759,11 @@ class Polyhedron:
         # reduced polyhedron rays are its extreme rays already
         return self._sub([(1,) + (0,) * self.n], self._rays)
 
-    def affine_image(self, rows, consts) -> "Polyhedron":
-        """Image under x -> (row_i . x + const_i); exact on all generators."""
+    def affine_image(self, rows, consts, rays=(), lineality=()) -> "Polyhedron":
+        """Image under x -> (row_i . x + const_i), plus cone(rays) and
+        span(lineality) of the image space; exact on all generators.  The
+        image's generators are kept unreduced: the caller's dual description
+        drops the redundant ones."""
         if self.is_empty:
             return Polyhedron.empty(len(rows))
         # one common denominator s: the map is (1/s) (C + R x), C and R integer
@@ -796,15 +776,12 @@ class Polyhedron:
                                                 for r, c in zip(rs, cs)))
                   for p in self._points]
 
-        def image(dirs):
+        def image(dirs, extra):
             out = [_ireduce(tuple(vdot(r, q) for r in rs)) for q in dirs]
-            return [q for q in out if any(q)]
-        return Polyhedron._from_vdata(m, points, image(self._rays), image(self._lins))
-
-    def project(self, coords: Sequence[int]) -> "Polyhedron":
-        """Coordinate projection, exact via generators."""
-        rows = [tuple(1 if j == c else 0 for j in range(self.n)) for c in coords]
-        return self.affine_image(rows, [0] * len(coords))
+            return [q for q in out if any(q)] + [primitive(d) for d in extra
+                                                 if any(d)]
+        return Polyhedron._from_vdata(m, points, image(self._rays, rays),
+                                      image(self._lins, lineality))
 
     # -- faces ---------------------------------------------------------------
 
@@ -940,82 +917,3 @@ def _positive_direction(rays, lins) -> Optional[IVec]:
 def is_dicritical_cone(c: Polyhedron) -> bool:
     """True iff the cone is not contained in the nonpositive orthant."""
     return positive_coordinate_witness(c) is not None
-
-
-# ---------------------------------------------------------------------------
-# coverage of a polyhedron by a finite union of polyhedra
-# ---------------------------------------------------------------------------
-
-def strict_witness(n, ineqs, eqs, stricts) -> Optional[Vec]:
-    """A point of {ineqs, eqs, strict inequalities a . x < b}, or None.
-
-    Lifted with a slack t: a . x + t <= b and t maximized; the region is
-    nonempty iff sup t > 0, and a generator with positive slack yields an
-    explicit witness.
-    """
-    lifted = [(tuple(a) + (0,), b) for a, b in ineqs]
-    lifted += [(tuple(a) + (1,), b) for a, b in stricts]
-    leqs = [(tuple(a) + (0,), b) for a, b in eqs]
-    lifted.append(((0,) * n + (-1,), 0))  # t >= 0
-    P = Polyhedron.from_hrep(n + 1, lifted, leqs)
-    if P.is_empty:
-        return None
-    for p in P._points:
-        if p[-1] > 0:
-            return _dehomog(p)[:-1]
-    base = P._points[0]
-
-    def shifted(v):
-        d = base[0]
-        return _dehomog((d,) + tuple(x + d * y for x, y in zip(base[1:], v)))[:-1]
-    for r in P._rays:
-        if r[-1] > 0:
-            return shifted(r)
-    for l in P._lins:
-        if l[-1] > 0:
-            return shifted(l)
-        if l[-1] < 0:
-            return shifted(vneg_int(l))
-    return None
-
-
-def _strict_region_nonempty(n, ineqs, eqs, stricts) -> bool:
-    return strict_witness(n, ineqs, eqs, stricts) is not None
-
-
-def covered_by_union(P: Polyhedron, pieces: Sequence[Polyhedron]) -> bool:
-    """Exact decision of P <= union(pieces), all closed polyhedra."""
-    if P.is_empty:
-        return True
-    ineqs, eqs = P.hrep()
-    pieces = [q for q in pieces if not q.is_empty]
-    return _covered(P.n, list(ineqs), list(eqs), [], pieces)
-
-
-def _covered(n, ineqs, eqs, stricts, pieces) -> bool:
-    if not _strict_region_nonempty(n, ineqs, eqs, stricts):
-        return True
-    if not pieces:
-        return False
-    q = pieces[0]
-    rest = pieces[1:]
-    qineqs, qeqs = q.hrep()
-    cons = list(qineqs)
-    for a, b in qeqs:
-        cons.append((a, b))
-        cons.append((vscale(-1, a), -b))
-    # split off the part strictly outside each successive constraint of q;
-    # what remains satisfies all of them, hence lies inside q.
-    cur_ineqs = list(ineqs)
-    for a, b in cons:
-        out_strict = stricts + [(vscale(-1, a), -b)]  # a . x > b
-        if not _covered(n, cur_ineqs, eqs, out_strict, rest):
-            return False
-        cur_ineqs = cur_ineqs + [(a, b)]
-    return True
-
-
-def union_equal(pieces_a: Sequence[Polyhedron], pieces_b: Sequence[Polyhedron]) -> bool:
-    """Exact set equality of two finite unions of polyhedra."""
-    return (all(covered_by_union(p, pieces_b) for p in pieces_a)
-            and all(covered_by_union(q, pieces_a) for q in pieces_b))

@@ -44,28 +44,6 @@ def in_tnp(F: TropicalMap, y) -> OracleVerdict:
     return OracleVerdict(False)
 
 
-def verify_witness(F: TropicalMap, y, verdict: OracleVerdict,
-                   steps: int = 3) -> bool:
-    """Re-check a positive verdict directly against the definition.
-
-    Walks a few points along the witness half-line and confirms each lies in
-    every virtual preimage.
-    """
-    if not verdict.member:
-        return False
-    y = frac_vec(y)
-    cx = decomposition(F.term_maps(), list(y), n=F.n, bend_only=True)
-    cell = cx.cells[verdict.cell_id]
-    base = cell.closure.relative_interior_point()
-    ray = frac_vec(verdict.ray)
-    for t in range(steps):
-        x = tuple(b + t * r for b, r in zip(base, ray))
-        if not all(comp.in_virtual_preimage(level, x)
-                   for comp, level in zip(F.components, y)):
-            return False
-    return any(r > 0 for r in ray)
-
-
 # ---------------------------------------------------------------------------
 # grid comparison against the engine
 # ---------------------------------------------------------------------------
@@ -83,10 +61,6 @@ class GridReport:
     points: int
     members: int
     mismatches: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
 
 
 def _axis_values(lo: Fraction, hi: Fraction, resolution: int, offset: Fraction):

@@ -4,10 +4,9 @@ Each factor (a max-affine family, optionally extended by a virtual level as
 a pseudo-term at the origin) partitions R^n into argmax regions; the
 decomposition is the common refinement.  Every cell keeps its argmax
 profile, one FactorCell per factor; bending and transversality are ranks of
-its dual points.  The dual data, the points' convex hulls (the Minkowski
-summands) and the dual polytope, realize the inclusion-reversing duality
-with the mixed subdivision of the Minkowski sum of the extended Newton
-polytopes; they are built on first read.
+its dual points.  Those points are the dual data of the inclusion-reversing
+duality with the mixed subdivision of the Minkowski sum of the extended
+Newton polytopes; only their ranks are read here.
 
 Factor regions are enumerated through the lifted hull conv{(a, coeff_a)} in
 R^(n+1): an argmax set is the set of entries on a face exposed by some
@@ -30,11 +29,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
-from .geom import (HBuilder, Polyhedron, _homog_point, _ireduce, convex_hull,
-                   frac_vec, mask_closure, matrix_rank, vdot, vsub)
+from .geom import (HBuilder, Polyhedron, _homog_point, _ireduce, mask_closure,
+                   matrix_rank, vdot, vsub)
 from .tropical import MINUS_INF, ExtRat, is_minus_inf
 
 
@@ -151,20 +150,6 @@ def factor_cells(n: int, terms: Mapping, level: ExtRat = MINUS_INF):
     return _factor_cells(n, tuple(sorted(terms.items())), level)
 
 
-def _argmax_at(terms: Mapping, level, x):
-    """(argmax exponent set, level ties) of max(terms, level) at x."""
-    best = None if is_minus_inf(level) else Fraction(level)
-    argmax = set()
-    has_level = best is not None
-    for exp, coeff in terms.items():
-        v = vdot(x, exp) + coeff
-        if best is None or v > best:
-            best, argmax, has_level = v, {exp}, False
-        elif v == best:
-            argmax.add(exp)
-    return frozenset(argmax), has_level
-
-
 def cayley_profiles(n: int, term_maps: Sequence[Mapping]) -> list:
     """Per factor, the sorted dual points (argmax exponents) of every cell
     of the common refinement of the factors' argmax decompositions; every
@@ -202,11 +187,9 @@ def transversal(duals: Sequence[Sequence]) -> bool:
 
 class Cell:
     """A (relatively open) cell, stored by its closure, with its argmax
-    profile: one FactorCell per factor.  The summands and the dual polytope
-    are built on first read."""
+    profile: one FactorCell per factor."""
 
-    __slots__ = ("id", "closure", "dim", "profile", "argmax", "level_flags",
-                 "_summands", "_dual")
+    __slots__ = ("id", "closure", "dim", "profile", "argmax", "level_flags")
 
     def __init__(self, cid, closure, profile):
         self.id = cid
@@ -215,35 +198,10 @@ class Cell:
         self.profile = profile
         self.argmax = tuple(fc.argmax for fc in profile)
         self.level_flags = tuple(fc.has_level for fc in profile)
-        self._summands = self._dual = None
-
-    @property
-    def summands(self):
-        """Per factor, the convex hull of the dual points."""
-        if self._summands is None:
-            origin = (0,) * self.closure.n
-            self._summands = tuple(convex_hull(fc.dual_points or (origin,))
-                                   for fc in self.profile)
-        return self._summands
-
-    @property
-    def dual(self):
-        """The Minkowski sum of the summands."""
-        if self._dual is None:
-            self._dual = reduce(Polyhedron.minkowski_sum,
-                                self.summands).dual_description()
-        return self._dual
-
-    def _differences(self):
-        """Per factor, the dual points' differences to the first one."""
-        return [[vsub(p, fc.dual_points[0]) for p in fc.dual_points[1:]]
-                for fc in self.profile]
-
-    def summand_dims(self):
-        return tuple(matrix_rank(d) for d in self._differences())
 
     def is_transversal(self):
-        """dim dual == sum of the summand dims, as ranks of the differences."""
+        """dim dual == sum of the summand dims, read off the ranks of the
+        dual points (`transversal`)."""
         return transversal([fc.dual_points for fc in self.profile])
 
     def __repr__(self):
@@ -251,19 +209,13 @@ class Cell:
 
 
 class CellComplex:
-    """A polyhedral cell decomposition of R^n with dual mixed-subdivision data.
+    """A polyhedral cell decomposition of R^n.  From `decomposition` with
+    `bend_only` it holds only the cells on which every factor bends (the
+    virtual preimage of the level vector), not a full partition."""
 
-    With `bend_only` the complex holds only the cells on which every factor
-    bends (the virtual preimage of the level vector), not a full partition.
-    """
-
-    def __init__(self, n, term_maps, levels, cells, bend_only=False):
+    def __init__(self, n, cells):
         self.n = n
-        self.term_maps = tuple(term_maps)
-        self.levels = tuple(levels)
         self.cells = tuple(cells)
-        self.bend_only = bend_only
-        self._sum = None
 
     def __iter__(self):
         return iter(self.cells)
@@ -271,57 +223,10 @@ class CellComplex:
     def __len__(self):
         return len(self.cells)
 
-    @property
-    def sum_polytope(self) -> Polyhedron:
-        """Minkowski sum of the factors' extended Newton polytopes."""
-        if self._sum is None:
-            origin = (0,) * self.n
-            hulls = [convex_hull(list(terms) if terms and is_minus_inf(level)
-                                 else [*terms, origin])
-                     for terms, level in zip(self.term_maps, self.levels)]
-            self._sum = reduce(Polyhedron.minkowski_sum,
-                               hulls).dual_description()
-        return self._sum
-
     def is_transversal(self):
         """(all cells transversal, ids of offending cells)."""
         offenders = [c.id for c in self.cells if not c.is_transversal()]
         return (not offenders, offenders)
-
-    def cell_containing(self, x):
-        """The unique cell whose relative interior contains x (full complexes)."""
-        x = frac_vec(x)
-        for cell in self.cells:
-            if not cell.closure.contains(x):
-                continue
-            ok = True
-            for terms, level, S, has in zip(self.term_maps, self.levels,
-                                            cell.argmax, cell.level_flags):
-                am, hl = _argmax_at(terms, level, x)
-                if am != S or hl != has:
-                    ok = False
-                    break
-            if ok:
-                return cell
-        return None
-
-    def counts_by_dim(self):
-        counts = {}
-        for c in self.cells:
-            counts[c.dim] = counts.get(c.dim, 0) + 1
-        return counts
-
-
-class MixedSubdivision:
-    """The dual subdivision of the Minkowski sum, aligned with the complex."""
-
-    def __init__(self, complex_: CellComplex):
-        self.complex = complex_
-        self.entries = complex_.cells
-
-    def maximal(self):
-        top = self.complex.sum_polytope.dim
-        return [e for e in self.entries if e.dual.dim == top]
 
 
 def decomposition(term_maps: Sequence[Mapping], levels: Optional[Sequence[ExtRat]] = None,
@@ -351,7 +256,7 @@ def decomposition(term_maps: Sequence[Mapping], levels: Optional[Sequence[ExtRat
     found.sort(key=lambda t: (t[1].dim, t[1].canonical_key()))
     cells = [Cell(cid, poly, profile)
              for cid, (profile, poly) in enumerate(found)]
-    return CellComplex(n, term_maps, levels, cells, bend_only=bend_only)
+    return CellComplex(n, cells)
 
 
 def _refine(n: int, factor_lists: Sequence[Sequence[FactorCell]]) -> list:
@@ -385,73 +290,3 @@ def _refine(n: int, factor_lists: Sequence[Sequence[FactorCell]]) -> list:
 
     search(0, HBuilder(n), (), 0)
     return found
-
-
-def corner_locus_pieces(terms: Mapping, n: int) -> list:
-    """The corner locus of one tropical polynomial as closed cells."""
-    cx = decomposition([terms], [MINUS_INF], n=n)
-    return [c.closure for c in cx.cells if len(c.argmax[0]) >= 2]
-
-
-def regular_subdivision(support: Sequence, lift: Mapping) -> MixedSubdivision:
-    """Regular subdivision of conv(support) from the lifted upper hull.
-
-    Max-plus convention: the subdivision cells are the projections of the
-    upper faces of conv{(a, lift(a))}, i.e. the domains where each argmax
-    set is attained.  The origin is allowed here (plain lifted supports, no
-    virtual level is involved).
-    """
-    support = [tuple(int(x) for x in p) for p in support]
-    if not support:
-        raise ValueError("empty support")
-    terms = {p: Fraction(lift[p]) for p in support}
-    cx = decomposition([terms], [MINUS_INF], n=len(support[0]))
-    return MixedSubdivision(cx)
-
-
-# ---------------------------------------------------------------------------
-# duality invariants
-# ---------------------------------------------------------------------------
-
-def duality_violations(cx: CellComplex) -> list:
-    """Violations of the cell/dual-polytope duality on a complex.
-
-    Checks, cell by cell: the dual (the Minkowski sum of the summands' hulls)
-    equals the convex hull of all sums taking one dual point per factor; the
-    cell and dual dimensions are complementary; their affine spans are
-    orthogonal; and the dual lies on a proper facet of the Minkowski-sum
-    polytope exactly when the cell recedes along that facet's outward normal.
-    """
-    problems = []
-    sum_poly = cx.sum_polytope
-    ineqs, _ = sum_poly.hrep()
-    facets = [(normal, sum_poly.face_in_direction(normal)) for normal, _ in ineqs]
-    origin = (0,) * cx.n
-    for cell in cx.cells:
-        choices = [fc.dual_points or (origin,) for fc in cell.profile]
-        sums = [tuple(map(sum, zip(origin, *pick)))
-                for pick in itertools.product(*choices)]
-        if not convex_hull(sums).equal_as_sets(cell.dual):
-            problems.append((cell.id, "dual is not the hull of the dual point sums"))
-        if cell.dim + cell.dual.dim != cx.n:
-            problems.append((cell.id, "dim cell + dim dual != n"))
-        cell_dirs = _direction_span(cell.closure)
-        dual_dirs = _direction_span(cell.dual)
-        if any(vdot(u, v) != 0 for u in cell_dirs for v in dual_dirs):
-            problems.append((cell.id, "cell and dual spans not orthogonal"))
-        rec = cell.closure.recession_cone()
-        for normal, facet in facets:
-            on_facet = facet.contains_polyhedron(cell.dual)
-            recedes = rec.contains(normal)
-            if on_facet != recedes:
-                problems.append(
-                    (cell.id, f"facet duality failed for normal {normal}"))
-    return problems
-
-
-def _direction_span(p: Polyhedron):
-    verts = p.vertices
-    dirs = [vsub(v, verts[0]) for v in verts[1:]]
-    dirs += [frac_vec(r) for r in p.rays]
-    dirs += [frac_vec(l) for l in p.lineality]
-    return [d for d in dirs if any(x != 0 for x in d)]

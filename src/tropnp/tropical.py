@@ -19,7 +19,6 @@ from .geom import frac_vec, vdot
 #: Bottom element of the max-plus semifield.  float("-inf") compares
 #: correctly against every Fraction, which is all the engine needs.
 MINUS_INF = float("-inf")
-PLUS_INF = float("inf")
 
 ExtRat = Union[Fraction, float]
 
@@ -83,26 +82,6 @@ class TropicalPolynomial:
 
     def __call__(self, x):
         return self.eval_with_argmax(x)[0]
-
-    def in_corner_locus(self, x) -> bool:
-        """True iff the maximum is attained by at least two terms at x."""
-        return len(self.eval_with_argmax(x)[1]) >= 2
-
-    def in_virtual_preimage(self, level: ExtRat, x) -> bool:
-        """Membership in the corner locus of max(self, level).
-
-        The level counts as one extra candidate at the origin exponent; with
-        level = -inf this is plain corner-locus membership.
-        """
-        value, argmax = self.eval_with_argmax(x)
-        if is_minus_inf(level):
-            return len(argmax) >= 2
-        level = Fraction(level)
-        if level > value:
-            return False
-        if level == value:
-            return True
-        return len(argmax) >= 2
 
     # -- misc -----------------------------------------------------------------
 

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import os
 from fractions import Fraction
 from functools import reduce
@@ -5,9 +7,11 @@ from functools import reduce
 import pytest
 
 from tropnp.engine import analyze_gamma
-from tropnp.geom import HBuilder, Polyhedron, primitive
+from tropnp.geom import (HBuilder, Polyhedron, convex_hull, frac_vec,
+                         primitive, vdot, vsub)
 from tropnp.subdivision import decomposition
-from tropnp.tropical import MINUS_INF, TropicalMap, TropicalPolynomial
+from tropnp.tropical import (MINUS_INF, TropicalMap, TropicalPolynomial,
+                             is_minus_inf)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -131,6 +135,312 @@ def canonical_key_from(points, rays, lineality):
         if any(r):
             rys.add(primitive(r))
     return tuple(pts), tuple(sorted(rys)), tuple(primitive(l) for l in lins)
+
+
+
+# ---------------------------------------------------------------------------
+# sets: equality, and coverage by a finite union
+# ---------------------------------------------------------------------------
+
+def equal_as_sets(p, q):
+    return p.contains_polyhedron(q) and q.contains_polyhedron(p)
+
+
+def vscale(c, v):
+    c = Fraction(c)
+    return tuple(c * a for a in v)
+
+
+def strict_witness(n, ineqs, eqs, stricts):
+    """A point of {ineqs, eqs, strict inequalities a . x < b}, or None.
+
+    Lifted with a slack t: a . x + t <= b and t maximized; the region is
+    nonempty iff sup t > 0, and a generator with positive slack yields an
+    explicit witness.
+    """
+    lifted = [(tuple(a) + (0,), b) for a, b in ineqs]
+    lifted += [(tuple(a) + (1,), b) for a, b in stricts]
+    leqs = [(tuple(a) + (0,), b) for a, b in eqs]
+    lifted.append(((0,) * n + (-1,), 0))  # t >= 0
+    P = Polyhedron.from_hrep(n + 1, lifted, leqs)
+    if P.is_empty:
+        return None
+    verts = P.vertices
+    for v in verts:
+        if v[-1] > 0:
+            return v[:-1]
+
+    def shifted(d):
+        return tuple(a + b for a, b in zip(verts[0], d))[:-1]
+    for r in P.rays:
+        if r[-1] > 0:
+            return shifted(r)
+    for l in P.lineality:
+        if l[-1] > 0:
+            return shifted(l)
+        if l[-1] < 0:
+            return shifted(tuple(-x for x in l))
+    return None
+
+
+def _strict_region_nonempty(n, ineqs, eqs, stricts):
+    return strict_witness(n, ineqs, eqs, stricts) is not None
+
+
+def covered_by_union(P, pieces):
+    """Exact decision of P <= union(pieces), all closed polyhedra."""
+    if P.is_empty:
+        return True
+    ineqs, eqs = P.hrep()
+    pieces = [q for q in pieces if not q.is_empty]
+    return _covered(P.n, list(ineqs), list(eqs), [], pieces)
+
+
+def _covered(n, ineqs, eqs, stricts, pieces):
+    if not _strict_region_nonempty(n, ineqs, eqs, stricts):
+        return True
+    if not pieces:
+        return False
+    q = pieces[0]
+    rest = pieces[1:]
+    qineqs, qeqs = q.hrep()
+    cons = list(qineqs)
+    for a, b in qeqs:
+        cons.append((a, b))
+        cons.append((vscale(-1, a), -b))
+    # split off the part strictly outside each successive constraint of q;
+    # what remains satisfies all of them, hence lies inside q.
+    cur_ineqs = list(ineqs)
+    for a, b in cons:
+        out_strict = stricts + [(vscale(-1, a), -b)]  # a . x > b
+        if not _covered(n, cur_ineqs, eqs, out_strict, rest):
+            return False
+        cur_ineqs = cur_ineqs + [(a, b)]
+    return True
+
+
+def union_equal(pieces_a, pieces_b):
+    """Exact set equality of two finite unions of polyhedra."""
+    return (all(covered_by_union(p, pieces_b) for p in pieces_a)
+            and all(covered_by_union(q, pieces_a) for q in pieces_b))
+
+
+# ---------------------------------------------------------------------------
+# cells: corner loci, argmax profiles, dual polytopes and duality
+# ---------------------------------------------------------------------------
+
+def corner_locus_pieces(terms, n):
+    """The corner locus of one tropical polynomial as closed cells."""
+    return [c.closure for c in decomposition([terms], [MINUS_INF], n=n).cells
+            if len(c.argmax[0]) >= 2]
+
+
+def argmax_at(terms, level, x):
+    """(argmax exponent set, level ties) of max(terms, level) at x."""
+    best = None if is_minus_inf(level) else Fraction(level)
+    argmax = set()
+    has_level = best is not None
+    for exp, coeff in terms.items():
+        v = vdot(x, exp) + coeff
+        if best is None or v > best:
+            best, argmax, has_level = v, {exp}, False
+        elif v == best:
+            argmax.add(exp)
+    return frozenset(argmax), has_level
+
+
+def cell_containing(cx, term_maps, levels, x):
+    """The unique cell of a full complex whose relative interior holds x."""
+    x = frac_vec(x)
+    for cell in cx.cells:
+        if cell.closure.contains(x) and all(
+                argmax_at(terms, level, x) == (S, has)
+                for terms, level, S, has in zip(term_maps, levels, cell.argmax,
+                                                cell.level_flags)):
+            return cell
+    return None
+
+
+def cell_summands(cell):
+    """Per factor, the convex hull of the cell's dual points (the origin for
+    a factor without any)."""
+    return _summands(cell.closure.n, tuple(fc.dual_points for fc in cell.profile))
+
+
+def cell_dual(cell):
+    """The dual polytope of a cell: the Minkowski sum of its summands."""
+    return _dual(cell.closure.n, tuple(fc.dual_points for fc in cell.profile))
+
+
+# keyed by the dual points, which are all a dual depends on: the property
+# suite reads each cell's dual in several checks
+@functools.lru_cache(maxsize=4096)
+def _summands(n, dual_points):
+    return tuple(convex_hull(points or ((0,) * n,)) for points in dual_points)
+
+
+@functools.lru_cache(maxsize=4096)
+def _dual(n, dual_points):
+    return minkowski_sum_of(_summands(n, dual_points))
+
+
+def summand_ranks(cell):
+    """Per factor, the rank of the dual points' differences to the first."""
+    return tuple(rank([vsub(p, fc.dual_points[0]) for p in fc.dual_points[1:]])
+                 for fc in cell.profile)
+
+
+def sum_polytope(n, term_maps, levels):
+    """Minkowski sum of the factors' extended Newton polytopes."""
+    origin = (0,) * n
+    return minkowski_sum_of(
+        [convex_hull(list(terms) if terms and is_minus_inf(level)
+                     else [*terms, origin])
+         for terms, level in zip(term_maps, levels)])
+
+
+def duality_violations(cx, term_maps, levels):
+    """Violations of the cell/dual-polytope duality on a complex.
+
+    Checks, cell by cell: the dual (the Minkowski sum of the summands' hulls)
+    equals the convex hull of all sums taking one dual point per factor; the
+    cell and dual dimensions are complementary; their affine spans are
+    orthogonal; and the dual lies on a proper facet of the Minkowski-sum
+    polytope exactly when the cell recedes along that facet's outward normal.
+    """
+    problems = []
+    sum_poly = sum_polytope(cx.n, term_maps, levels)
+    ineqs, _ = sum_poly.hrep()
+    facets = [(normal, sum_poly.face_in_direction(normal)) for normal, _ in ineqs]
+    origin = (0,) * cx.n
+    for cell in cx.cells:
+        dual = cell_dual(cell)
+        choices = [fc.dual_points or (origin,) for fc in cell.profile]
+        sums = [tuple(map(sum, zip(origin, *pick)))
+                for pick in itertools.product(*choices)]
+        if not equal_as_sets(convex_hull(sums), dual):
+            problems.append((cell.id, "dual is not the hull of the dual point sums"))
+        if cell.dim + dual.dim != cx.n:
+            problems.append((cell.id, "dim cell + dim dual != n"))
+        cell_dirs = _direction_span(cell.closure)
+        dual_dirs = _direction_span(dual)
+        if any(vdot(u, v) != 0 for u in cell_dirs for v in dual_dirs):
+            problems.append((cell.id, "cell and dual spans not orthogonal"))
+        rec = cell.closure.recession_cone()
+        for normal, facet in facets:
+            on_facet = facet.contains_polyhedron(dual)
+            recedes = rec.contains(normal)
+            if on_facet != recedes:
+                problems.append(
+                    (cell.id, f"facet duality failed for normal {normal}"))
+    return problems
+
+
+def _direction_span(p):
+    verts = p.vertices
+    dirs = [vsub(v, verts[0]) for v in verts[1:]]
+    dirs += [frac_vec(r) for r in p.rays]
+    dirs += [frac_vec(l) for l in p.lineality]
+    return [d for d in dirs if any(x != 0 for x in d)]
+
+
+# ---------------------------------------------------------------------------
+# the oracle's witnesses, re-checked against the definition
+# ---------------------------------------------------------------------------
+
+def in_virtual_preimage(p, level, x):
+    """Membership of x in the corner locus of max(p, level).
+
+    The level counts as one extra candidate at the origin exponent; with
+    level = -inf this is plain corner-locus membership.
+    """
+    value, argmax = p.eval_with_argmax(x)
+    if is_minus_inf(level):
+        return len(argmax) >= 2
+    level = Fraction(level)
+    if level > value:
+        return False
+    if level == value:
+        return True
+    return len(argmax) >= 2
+
+
+def verify_witness(F, y, verdict, steps=3):
+    """Re-check a positive oracle verdict directly against the definition:
+    walk a few points along the witness half-line and confirm each lies in
+    every virtual preimage."""
+    if not verdict.member:
+        return False
+    y = frac_vec(y)
+    cx = decomposition(F.term_maps(), list(y), n=F.n, bend_only=True)
+    cell = cx.cells[verdict.cell_id]
+    base = cell.closure.relative_interior_point()
+    ray = frac_vec(verdict.ray)
+    for t in range(steps):
+        x = tuple(b + t * r for b, r in zip(base, ray))
+        if not all(in_virtual_preimage(comp, level, x)
+                   for comp, level in zip(F.components, y)):
+            return False
+    return any(r > 0 for r in ray)
+
+
+# ---------------------------------------------------------------------------
+# the engine's earlier assemblies, kept as references for `_assemble`
+# ---------------------------------------------------------------------------
+
+def _reference_affine_form(ctx, cell, i):
+    exp = sorted(cell.argmax[i])[0]
+    return frac_vec(exp), ctx.restricted[i][exp]
+
+
+def reference_staircase(ctx, analysis):
+    """Closure of the coupled virtual image, lifted to R^2n and projected:
+    {y : x in the cell, y_i = comp_i(x) on the non-bending origin members,
+    y_i <= comp_i(x) on the bending ones}."""
+    n = ctx.face.n
+    cell = analysis.cell
+    ineqs, eqs = [], []
+    cineqs, ceqs = cell.closure.hrep()
+    zero_y = (Fraction(0),) * n
+    ineqs += [(tuple(a) + zero_y, b) for a, b in cineqs]
+    eqs += [(tuple(a) + zero_y, b) for a, b in ceqs]
+    for i in sorted(ctx.origin_members):
+        normal, offset = _reference_affine_form(ctx, cell, i)
+        row = [-c for c in normal] + [Fraction(0)] * n
+        row[n + i] = Fraction(1)
+        (ineqs if i in analysis.bending else eqs).append((tuple(row), offset))
+    lifted = Polyhedron.from_hrep(2 * n, ineqs, eqs)
+    rows = [tuple(int(j == n + i) for j in range(2 * n)) for i in range(n)]
+    return lifted.affine_image(rows, [0] * n).dual_description()
+
+
+def reference_product(ctx, analysis):
+    """Each bending origin coordinate bounded by its supremum over the cell;
+    the other origin coordinates confined to the cell's affine image, whose
+    H-representation is embedded coordinate by coordinate."""
+    n = ctx.face.n
+    cell = analysis.cell
+    ineqs, eqs = [], []
+    image_coords, rows, consts = [], [], []
+    for i in sorted(ctx.origin_members):
+        normal, offset = _reference_affine_form(ctx, cell, i)
+        if i not in analysis.bending:
+            image_coords.append(i)
+            rows.append(normal)
+            consts.append(offset)
+            continue
+        sup = cell.closure.support_value(normal)
+        if sup is not None:
+            ineqs.append((tuple(int(j == i) for j in range(n)), sup + offset))
+    if image_coords:
+        img_ineqs, img_eqs = cell.closure.affine_image(rows, consts).hrep()
+        for block, out in ((img_ineqs, ineqs), (img_eqs, eqs)):
+            for a, b in block:
+                e = [Fraction(0)] * n
+                for c, coeff in zip(image_coords, a):
+                    e[c] = coeff
+                out.append((tuple(e), b))
+    return Polyhedron.from_hrep(n, ineqs, eqs).dual_description()
 
 
 @pytest.fixture(scope="session")

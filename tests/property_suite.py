@@ -31,12 +31,13 @@ from tropnp.engine import (GenericityError, TNPPiece, TNPSet, analyze_gamma,
                            analyze_sigma, cell_contribution)
 from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.oracle import grid_compare, in_tnp
-from tropnp.subdivision import (_argmax_at, cayley_profiles, decomposition,
-                                duality_violations)
+from tropnp.subdivision import cayley_profiles, decomposition
 from tropnp.subdivision import transversal as subdivision_transversal
 from tropnp.tropical import MINUS_INF, TropicalMap, TropicalPolynomial
 
-from conftest import canonical_key_from, minkowski_sum_of, rank
+from conftest import (argmax_at, canonical_key_from, cell_dual, cell_summands,
+                      duality_violations, equal_as_sets, minkowski_sum_of,
+                      rank, strict_witness, summand_ranks, vscale)
 
 F = Fraction
 
@@ -44,6 +45,11 @@ F = Fraction
 def random_map(rng: random.Random, n: int = 2, max_terms: int = 5,
                val_range: int = 9, exp_range: int = 4,
                min_terms: int = 1) -> TropicalMap:
+    available = (exp_range + 1) ** n - 1
+    if max_terms > available:
+        raise ValueError(
+            f"max_terms={max_terms} exceeds the {available} nonzero exponent "
+            f"vectors with entries in [0, {exp_range}] in dimension {n}")
     components = []
     for _ in range(n):
         k = rng.randint(min_terms, max_terms)
@@ -110,7 +116,6 @@ def _difference_probe(product_piece, staircase_piece):
     the two differ as sets such a point exists and the strict-region
     witness machinery finds one exactly.
     """
-    from tropnp.geom import strict_witness, vscale
     n = product_piece.n
     pineqs, peqs = product_piece.hrep()
     sineqs, seqs = staircase_piece.hrep()
@@ -130,19 +135,19 @@ def _check_rank_dims(cx):
     """Summand dimensions and transversality, read off the ranks of the dual
     points, agree with the hull definitions on every cell."""
     for c in cx.cells:
-        hull_dims = tuple(s.dim for s in c.summands)
-        assert c.summand_dims() == hull_dims, (c, hull_dims)
-        assert c.is_transversal() == (c.dual.dim == sum(hull_dims)), c
+        hull_dims = tuple(s.dim for s in cell_summands(c))
+        assert summand_ranks(c) == hull_dims, (c, hull_dims)
+        assert c.is_transversal() == (cell_dual(c).dim == sum(hull_dims)), c
 
 
-def _check_profiles(cx):
+def _check_profiles(cx, term_maps, levels):
     """Each cell's stored profile is the argmax profile at a relative-interior
     point of its closure: the leaf test that the decomposition search
     replaces by pruning on tight inequalities."""
     for c in cx.cells:
         p = c.closure.relative_interior_point()
-        for terms, level, fc in zip(cx.term_maps, cx.levels, c.profile):
-            assert _argmax_at(terms, level, p) == (fc.argmax, fc.has_level), \
+        for terms, level, fc in zip(term_maps, levels, c.profile):
+            assert argmax_at(terms, level, p) == (fc.argmax, fc.has_level), \
                 (c, fc)
 
 
@@ -166,13 +171,15 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     report = MapReport(index)
     n = m.n
 
-    xi = decomposition(m.term_maps(), [MINUS_INF] * n, n=n)
-    if duality_violations(xi):
+    no_levels = [MINUS_INF] * n
+    xi = decomposition(m.term_maps(), no_levels, n=n)
+    if duality_violations(xi, m.term_maps(), no_levels):
         report.duality_ok = False
     _check_rank_dims(xi)
-    _check_profiles(xi)
+    _check_profiles(xi, m.term_maps(), no_levels)
     _check_closures(xi)
     full_transversal = transversal = xi.is_transversal()[0]
+    xi_duals = [cell_dual(c) for c in xi.cells]
     report.cayley_verdict_ok = full_transversal == all(
         map(subdivision_transversal, cayley_profiles(n, m.term_maps())))
 
@@ -183,18 +190,18 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     product_pieces, staircase_pieces = [], []
     diff_probes = []
     for face, ctx in zip(faces, contexts):
-        if duality_violations(ctx.complex):
+        if duality_violations(ctx.complex, ctx.restricted, no_levels):
             report.duality_ok = False
         _check_rank_dims(ctx.complex)
-        _check_profiles(ctx.complex)
+        _check_profiles(ctx.complex, ctx.restricted, no_levels)
         _check_closures(ctx.complex)
         if not ctx.complex.is_transversal()[0]:
             transversal = False
 
         if all(ctx.restricted):
             summed = minkowski_sum_of(face.members)
-            inside = [c for c in xi.cells
-                      if summed.contains_polyhedron(c.dual)]
+            inside = [c for c, dual in zip(xi.cells, xi_duals)
+                      if summed.contains_polyhedron(dual)]
             if len(inside) != len(ctx.complex.cells):
                 report.bijection_ok = False
             else:
@@ -223,7 +230,7 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
                 report.pieces_ok = False
             product_pieces.append(TNPPiece(prod, face.id, cell.id))
             staircase_pieces.append(TNPPiece(stair, face.id, cell.id))
-            if not prod.equal_as_sets(stair):
+            if not equal_as_sets(prod, stair):
                 probe = _difference_probe(prod, stair)
                 if probe is None:
                     report.unclassified += 1
@@ -236,7 +243,7 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     for piece in staircase_set.polytopes:
         y = piece.relative_interior_point()
         bend = decomposition(m.term_maps(), list(y), n=n, bend_only=True)
-        _check_profiles(bend)
+        _check_profiles(bend, m.term_maps(), y)
         _check_closures(bend)
     for face_id, cell_id, probe in diff_probes:
         verdict = in_tnp(m, probe)
@@ -249,7 +256,7 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     if transversal and not report.genericity_failure:
         grid = grid_compare(m, staircase_set, resolution=grid_res)
         report.oracle_checked = True
-        report.oracle_ok = grid.ok
+        report.oracle_ok = not grid.mismatches
     return report
 
 

@@ -13,11 +13,11 @@ from tropnp.cli import (_transversality_report, dump_doc, main,
 from tropnp.engine import (GenericityError, TNPSet, analyze_gamma,
                            analyze_sigma, cell_contribution, tnp_set)
 from tropnp.faces import delta0, enumerate_tuple_faces
-from tropnp.geom import union_equal
-from tropnp.subdivision import corner_locus_pieces, decomposition
+from tropnp.subdivision import decomposition
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
-from conftest import fixture_path, reference_transversality_report
+from conftest import (corner_locus_pieces, fixture_path,
+                      reference_transversality_report, union_equal)
 from property_suite import random_map
 
 F = Fraction
@@ -545,6 +545,12 @@ PINNED_DOCUMENTS = [
      "f17460e62b435bc8ca2acb312c205332fe938cf5467b6a0ed28d8259be5e906d"),
     (["compute", "--input", "map3d_product.json", "--product"],
      "ed7a524bfc00a58cf15ce4d20353f52a28c7d1819da8fa700809df78521556ea"),
+    # two staircase pieces; the product set is one plane, reached through a
+    # bending coordinate whose supremum over its cell is unbounded
+    (["compute", "--input", "map3d_unbounded.json"],
+     "69960e0ea8375176969de509ad898723d3918ec60ddabe8a667000db14116dc1"),
+    (["compute", "--input", "map3d_unbounded.json", "--product"],
+     "9447eaeca46fee48cad6aa2f6dbefcba61697a3744902d9c2324090c70f09e0b"),
     (["faces", "--input", "map3d.json"],
      "d7bc5460a3c051d6387bcfd00a34d6ef1e35f63b14460eccbcc174ec7920f4c7"),
     (["faces", "--input", "map2d.json"],

@@ -1,15 +1,21 @@
 from fractions import Fraction
 
+import random
+
 import pytest
 
-from tropnp.engine import (analyze_gamma, analyze_sigma, cell_contribution,
-                           tnp_set, union_covers)
+from tropnp.cli import load_input
+from tropnp.engine import (GenericityError, analyze_gamma, analyze_sigma,
+                           cell_contribution, tnp_set)
 from tropnp.faces import delta0, enumerate_tuple_faces
-from tropnp.geom import Polyhedron, union_equal
-from tropnp.subdivision import corner_locus_pieces, decomposition
+from tropnp.geom import Polyhedron
+from tropnp.subdivision import decomposition
 from tropnp.tropical import MINUS_INF, TropicalMap, TropicalPolynomial
 
-from conftest import minkowski_sum_of
+from conftest import (cell_dual, corner_locus_pieces, covered_by_union,
+                      equal_as_sets, fixture_path, minkowski_sum_of,
+                      reference_product, reference_staircase, union_equal)
+from property_suite import random_map
 
 F = Fraction
 
@@ -35,10 +41,11 @@ class TestAnalyzeGamma:
     def test_restricted_complex_shape(self, collinear_ctx):
         # two parallel bend lines and three strips, all invariant along the
         # witness direction
-        assert collinear_ctx.complex.counts_by_dim() == {1: 2, 2: 3}
+        dims = [cell.dim for cell in collinear_ctx.complex]
+        assert {d: dims.count(d) for d in dims} == {1: 2, 2: 3}
         for cell in collinear_ctx.complex:
-            assert cell.closure.contains_polyhedron(
-                cell.closure.translate((1, -2)))
+            # P + v lies in P exactly when v is in the recession cone
+            assert cell.closure.recession_cone().contains((1, -2))
 
     def test_whole_polytope_member_keeps_the_component(self, map2d_small):
         faces = enumerate_tuple_faces(delta0(map2d_small))
@@ -151,7 +158,7 @@ class TestTnpSet:
     def test_contains_expected_plane_in_3d(self, map3d):
         s = tnp_set(map3d)
         plane = Polyhedron.from_hrep(3, [], [((1, 0, 0), -1)])
-        assert union_covers(s, plane)
+        assert covered_by_union(plane, s.polytopes)
 
     def test_canonical_union_drops_contained_pieces(self, map2d):
         s = tnp_set(map2d)
@@ -196,7 +203,7 @@ class TestDegenerateSupports:
         s = tnp_set(TropicalMap([f1, f2]))
         line = Polyhedron.from_generators(2, [(0, -3)], lineality=[(1, 2)])
         assert len(s.canonical) == 1
-        assert s.polytopes[0].equal_as_sets(line)
+        assert equal_as_sets(s.polytopes[0], line)
 
     def test_oracle_agreement_on_degenerate_maps(self):
         from tropnp.oracle import grid_compare
@@ -205,7 +212,7 @@ class TestDegenerateSupports:
         m = TropicalMap([g1, g2])
         s = tnp_set(m)
         rep = grid_compare(m, s, box=[(-8, 8), (-8, 8)], resolution=7)
-        assert rep.ok
+        assert not rep.mismatches
 
 
 class TestDeterminism:
@@ -237,7 +244,6 @@ class TestAssemblies:
             sp = tnp_set(F_, staircase=False)
             ss = tnp_set(F_, staircase=True)
             for q in ss.polytopes:
-                from tropnp.geom import covered_by_union
                 assert covered_by_union(q, sp.polytopes)
 
     def test_assemblies_agree_on_fixtures(self, map2d, map3d):
@@ -272,6 +278,56 @@ class TestAssemblies:
             assert product.membership(y)
 
 
+FIXTURE_MAPS = ("map2d.json", "map2d_deg.json", "map2d_flat.json", "map3d.json",
+                "map3d_product.json", "map3d_unbounded.json")
+
+
+def _reference_maps():
+    """The fixtures, 40 seeded planar maps and 20 seeded n = 3 maps with
+    three terms per component and exponents in {0, 1, 2}."""
+    maps = [load_input(fixture_path(name))[0] for name in FIXTURE_MAPS]
+    rng = random.Random(1818)
+    maps += [random_map(rng) for _ in range(40)]
+    maps += [random_map(rng, n=3, min_terms=3, max_terms=3, exp_range=2)
+             for _ in range(20)]
+    return maps
+
+
+class TestOneAssembly:
+    """Both assemblies, read off the cell's generators, equal the earlier
+    constructions: the staircase lifted to R^2n and projected, the product
+    with the image's H-representation embedded coordinate by coordinate."""
+
+    def test_matches_the_reference_assemblies(self):
+        compared = unbounded = 0
+        for m in _reference_maps():
+            for face in enumerate_tuple_faces(delta0(m)):
+                if not (face.dicritical and face.pre_origin):
+                    continue
+                ctx = analyze_gamma(m, face)
+                for cell in ctx.complex:
+                    a = analyze_sigma(ctx, cell)
+                    if not a.contributing or a.unrealizable:
+                        continue
+                    for staircase, reference in ((True, reference_staircase),
+                                                 (False, reference_product)):
+                        want = reference(ctx, a)
+                        try:
+                            got = cell_contribution(ctx, a, staircase)
+                        except GenericityError:
+                            assert want.dim > m.n - 1
+                            continue
+                        assert got.canonical_key() == want.canonical_key()
+                        assert got.hrep() == want.hrep()
+                        compared += 1
+                    unbounded += any(
+                        cell.closure.support_value(sorted(cell.argmax[i])[0])
+                        is None for i in ctx.origin_members & a.bending)
+        assert compared > 100
+        # the product form's free line, where a supremum is unbounded
+        assert unbounded > 0
+
+
 class TestBijection:
     def test_cell_counts_match_per_face(self, map2d):
         # the count identity needs every member face to meet the support
@@ -286,7 +342,7 @@ class TestBijection:
             checked += 1
             summed = minkowski_sum_of(face.members)
             inside = [c for c in xi.cells
-                      if summed.contains_polyhedron(c.dual)]
+                      if summed.contains_polyhedron(cell_dual(c))]
             assert len(inside) == len(ctx.complex.cells)
             # each such cell lies in exactly one restricted cell
             for c in inside:

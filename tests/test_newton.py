@@ -6,10 +6,11 @@ import pytest
 from tropnp.engine import TNPPiece, TNPSet, tnp_set
 from tropnp.geom import Polyhedron, convex_hull, primitive
 from tropnp.newton import FanError, _arrangement, recover_fan
-from tropnp.subdivision import corner_locus_pieces, decomposition
+from tropnp.subdivision import decomposition
 from tropnp.tropical import MINUS_INF
 
-from conftest import normal_cone_of_face, reference_arrangement
+from conftest import (corner_locus_pieces, normal_cone_of_face,
+                      reference_arrangement)
 
 F = Fraction
 

@@ -5,6 +5,8 @@ from property_suite import check_map, random_map, run_suite
 
 import random
 
+import pytest
+
 
 class TestRandomizedSmoke:
     def test_twelve_random_maps(self):
@@ -36,3 +38,9 @@ class TestRandomizedSmoke:
                 assert 1 <= len(p.terms) <= 5
                 assert all(any(e) for e in p.terms)
                 assert all(-9 <= c <= 9 for c in p.terms.values())
+
+    def test_more_terms_than_exponents_is_refused(self):
+        # (1 + 1)^2 - 1 = 3 nonzero exponent vectors for up to 4 terms
+        with pytest.raises(ValueError, match="the 3 nonzero exponent vectors"):
+            random_map(random.Random(0), n=2, min_terms=3, max_terms=4,
+                       exp_range=1)

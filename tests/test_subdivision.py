@@ -5,14 +5,13 @@ import pytest
 
 from tropnp.cli import load_input
 from tropnp.geom import Polyhedron, _homog_ineq, convex_hull, vdot, vsub
-from tropnp.subdivision import (FactorCell, MixedSubdivision, _refine,
-                                cayley_profiles, corner_locus_pieces,
-                                decomposition, duality_violations,
-                                factor_cells, regular_subdivision,
-                                transversal)
+from tropnp.subdivision import (FactorCell, _refine, cayley_profiles,
+                                decomposition, factor_cells, transversal)
 from tropnp.tropical import MINUS_INF, is_minus_inf
 
-from conftest import fixture_path
+from conftest import (argmax_at, cell_containing, cell_dual,
+                      corner_locus_pieces, covered_by_union, duality_violations,
+                      equal_as_sets, fixture_path, summand_ranks, sum_polytope)
 from property_suite import random_map
 
 F = Fraction
@@ -22,17 +21,20 @@ class TestSingleVariableToy:
     def test_three_cells_with_duals(self):
         cx = decomposition([{(1,): F(0)}], [F(0)], n=1)
         assert len(cx.cells) == 3
-        duals = sorted(tuple(sorted(c.dual.vertices)) for c in cx.cells)
+        duals = sorted(tuple(sorted(cell_dual(c).vertices)) for c in cx.cells)
         assert duals == [(((F(0),)),), ((F(0),), (F(1),)), ((F(1),),)]
         bend = [c for c in cx.cells if c.dim == 0]
         assert len(bend) == 1
         assert bend[0].closure.vertices == [(F(0),)]
-        assert bend[0].dual.dim == 1
+        assert cell_dual(bend[0]).dim == 1
+
+
+LEVELS = [F(-2), F(-1)]
 
 
 @pytest.fixture(scope="module")
 def cx(map2d_small):
-    return decomposition(map2d_small.term_maps(), [F(-2), F(-1)], n=2)
+    return decomposition(map2d_small.term_maps(), LEVELS, n=2)
 
 
 @pytest.fixture(scope="module")
@@ -46,18 +48,22 @@ class TestVirtualLevelComplex:
     def test_counts_by_dimension(self, cx):
         # two trees of corner loci crossing twice: 6 vertices, 14 edges,
         # 9 regions (Euler: 6 - 14 + 9 = 1)
-        assert cx.counts_by_dim() == {0: 6, 1: 14, 2: 9}
+        counts = {}
+        for c in cx.cells:
+            counts[c.dim] = counts.get(c.dim, 0) + 1
+        assert counts == {0: 6, 1: 14, 2: 9}
 
-    def test_transversal_crossing_cell(self, cx):
-        cell = cx.cell_containing((F(-7, 3), F(2, 3)))
+    def test_transversal_crossing_cell(self, cx, map2d_small):
+        cell = cell_containing(cx, map2d_small.term_maps(), LEVELS,
+                               (F(-7, 3), F(2, 3)))
         assert cell is not None
         assert cell.dim == 0
-        assert cell.dual.dim == 2
-        assert cell.summand_dims() == (1, 1)
+        assert cell_dual(cell).dim == 2
+        assert summand_ranks(cell) == (1, 1)
         assert cell.level_flags == (True, True)
 
-    def test_duality_invariants(self, cx):
-        assert duality_violations(cx) == []
+    def test_duality_invariants(self, cx, map2d_small):
+        assert duality_violations(cx, map2d_small.term_maps(), LEVELS) == []
 
     def test_transversal(self, cx):
         ok, offenders = cx.is_transversal()
@@ -71,10 +77,9 @@ class TestVirtualLevelComplex:
             for cell in cx.cells:
                 if not cell.closure.contains(x):
                     continue
-                from tropnp.subdivision import _argmax_at
                 match = all(
-                    _argmax_at(t, lvl, x) == (S, hl)
-                    for t, lvl, S, hl in zip(map2d_small.term_maps(), cx.levels,
+                    argmax_at(t, lvl, x) == (S, hl)
+                    for t, lvl, S, hl in zip(map2d_small.term_maps(), LEVELS,
                                              cell.argmax, cell.level_flags))
                 if match:
                     hits.append(cell.id)
@@ -92,8 +97,9 @@ class TestPlaneCurvePairComplex:
     def test_transversal(self, xi):
         assert xi.is_transversal() == (True, [])
 
-    def test_duality_invariants(self, xi):
-        assert duality_violations(xi) == []
+    def test_duality_invariants(self, xi, map2d):
+        assert duality_violations(xi, map2d.term_maps(),
+                                  [MINUS_INF, MINUS_INF]) == []
 
     def test_unbounded_parallel_tail_cells(self, xi):
         # the two corner loci both contain a line of direction (1,-2); the
@@ -111,9 +117,7 @@ class TestPlaneCurvePairComplex:
         assert len(wider) >= 3
 
     def test_mixed_subdivision_is_inclusion_reversing(self, xi):
-        ms = MixedSubdivision(xi)
-        assert len(ms.entries) == len(xi.cells)
-        by_id = {c.id: c for c in xi.cells}
+        duals = {c.id: cell_dual(c) for c in xi.cells}
         pairs = 0
         for a in xi.cells:
             for b in xi.cells:
@@ -121,7 +125,7 @@ class TestPlaneCurvePairComplex:
                     continue
                 if b.closure.contains_polyhedron(a.closure):
                     pairs += 1
-                    assert by_id[a.id].dual.contains_polyhedron(by_id[b.id].dual)
+                    assert duals[a.id].contains_polyhedron(duals[b.id])
         assert pairs > 0
 
 
@@ -138,13 +142,25 @@ class TestTransversality:
         assert cx.is_transversal() == (True, [])
 
 
+def regular_subdivision(support, lift):
+    """The cells of the regular subdivision of conv(support) by `lift`, as
+    the dual polytopes of the decomposition by max(lift(a) + a . x), with
+    the maximal ones: the projections of the upper faces of the lifted hull.
+    The origin is allowed here, as no virtual level is involved."""
+    terms = {p: F(lift[p]) for p in support}
+    n = len(support[0])
+    cx = decomposition([terms], [MINUS_INF], n=n)
+    duals = [cell_dual(c) for c in cx.cells]
+    top = sum_polytope(n, [terms], [MINUS_INF]).dim
+    return duals, [d for d in duals if d.dim == top]
+
+
 class TestRegularSubdivision:
     def test_trivial_lift_gives_the_hull(self):
         support = [(0, 0), (2, 0), (0, 2), (1, 1)]
-        ms = regular_subdivision(support, {p: F(0) for p in support})
-        tops = ms.maximal()
+        _, tops = regular_subdivision(support, {p: F(0) for p in support})
         assert len(tops) == 1
-        assert tops[0].dual.equal_as_sets(convex_hull(support))
+        assert equal_as_sets(tops[0], convex_hull(support))
 
     def test_marked_point_lift(self):
         # lift values on six marked points of a 3d support; the result must
@@ -152,24 +168,22 @@ class TestRegularSubdivision:
         support = [(1, 1, 0), (1, 1, 2), (0, 1, 2), (0, 2, 4), (1, 2, 4), (2, 2, 4)]
         lift = {(1, 1, 0): F(0), (1, 1, 2): F(0), (0, 1, 2): F(7),
                 (0, 2, 4): F(3), (1, 2, 4): F(2), (2, 2, 4): F(5)}
-        ms = regular_subdivision(support, lift)
+        _, tops = regular_subdivision(support, lift)
         hull = convex_hull(support)
-        tops = ms.maximal()
         assert len(tops) >= 2  # the lift is not affine on the support
         for e in tops:
-            assert hull.contains_polyhedron(e.dual)
-        from tropnp.geom import covered_by_union
-        assert covered_by_union(hull, [e.dual for e in tops])
+            assert hull.contains_polyhedron(e)
+        assert covered_by_union(hull, tops)
 
     def test_interpolated_point_is_never_a_vertex(self):
         support = [(2, 0), (1, 0), (1, 1), (0, 1), (0, 2)]
         lift = {(2, 0): F(-8), (1, 0): F(-4), (1, 1): F(-4),
                 (0, 1): F(-2), (0, 2): F(0)}
-        ms = regular_subdivision(support, lift)
-        for e in ms.entries:
-            assert (1, 1) not in {tuple(v) for v in e.dual.vertices}
+        duals, tops = regular_subdivision(support, lift)
+        for e in duals:
+            assert (1, 1) not in {tuple(v) for v in e.vertices}
         # yet (1,1) does lie inside some subdivision cell
-        assert any(e.dual.contains((1, 1)) for e in ms.maximal())
+        assert any(e.contains((1, 1)) for e in tops)
 
 
 class TestFactorCells:
