@@ -86,6 +86,9 @@ def parse_input_spec(doc: dict):
                 raise InputError(
                     f"component {i}: exponent {exp!r} is not a list of integers")
             exp = tuple(exp)
+            if "val" in term and "series" in term:
+                raise InputError(f"component {i}: term {term!r} has both "
+                                 "'val' and 'series'")
             if "val" in term:
                 val = parse_rational(term["val"])
             elif "series" in term:
@@ -157,11 +160,21 @@ def poly_json(p: Polyhedron) -> dict:
 
 
 def poly_from_json(doc: dict, n: int) -> Polyhedron:
-    if not doc["vertices"]:
-        return Polyhedron.empty(n)
-    return Polyhedron.from_generators(
-        n, [[exact_fraction(x) for x in v] for v in doc["vertices"]],
-        doc["rays"], doc["lineality"])
+    """A written piece: vertices of n rationals (no floats), rays and
+    lineality vectors of n integers."""
+    def vectors(key, kind):
+        vecs = doc[key]
+        if not isinstance(vecs, list) or any(
+                not isinstance(v, list) or len(v) != n
+                or kind == "integers" and not all(map(_is_int, v))
+                for v in vecs):
+            raise InputError(f"'{key}' must list vectors of {n} {kind}")
+        return vecs
+
+    vertices = [[exact_fraction(x) if isinstance(x, str) else parse_rational(x)
+                 for x in v] for v in vectors("vertices", "rationals")]
+    return Polyhedron.from_generators(n, vertices, vectors("rays", "integers"),
+                                      vectors("lineality", "integers"))
 
 
 def faces_json(faces) -> list:

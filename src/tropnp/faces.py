@@ -6,11 +6,11 @@ face per member so that the Minkowski sum of the picks is a face of Delta0.
 By the Cayley trick (Huber, Rambau and Santos, JEMS 2, 2000) these are the
 faces of the Cayley polytope conv{(a, e_i) : a in A_i u {0}} that meet every
 layer, read off its facet masks as `subdivision` reads lifted hulls, with no
-lift.  Delta0 is never built: a face's id follows its dimension and its
-vertices, the sums of the one-point-per-layer faces below it.  A witness
-normal in the relative interior of a face's normal cone exposes the picked
-face on every member, so the per-member support points and origin flags
-are read off the witness.  Classification flags:
+lift.  Layer i of such a face holds the points of A_i u {0} on the picked
+face of member i, so each face's layer masks give its argmax sets, its
+origin flags (the origin is last in each layer) and its member faces.
+Delta0 is never built: a face's id follows its dimension and its vertices,
+the sums of the one-point-per-layer faces below it.  Classification flags:
 
 * origin: every member face contains the origin,
 * pre_origin: some member face contains the origin,
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import and_, mul
+from operator import and_
 from typing import Sequence
 
 from .geom import (DIM_CAP, Polyhedron, _ireduce, _positive_direction,
@@ -48,29 +48,29 @@ class PolytopeTuple:
     members: tuple            # one Polyhedron conv(A_i u {0}) per component
     supports: tuple           # per component, the sorted integer exponents
     cayley: tuple = field(repr=False, compare=False)  # of the A_i u {0}
-    #: member faces by (i, argmax, origin on the face), shared by the
-    #: tuple-faces of the map
+    #: per component, the bits of the member's vertices in its layer, the
+    #: support points in order and then the origin
+    _vertex_bits: tuple = field(repr=False, compare=False)
+    #: member faces by (i, layer mask), shared by the tuple-faces of the map
     _member_faces: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
 
     def __post_init__(self):
-        # a face holding every support point and the origin is the member
+        # a face holding every point of its layer is the member
         for i, (m, sup) in enumerate(zip(self.members, self.supports)):
-            self._member_faces[i, frozenset(sup), True] = m
+            self._member_faces[i, (2 << len(sup)) - 1] = m
 
     @property
     def n(self) -> int:
         return self.members[0].n
 
-    def member_face(self, i: int, argmax: frozenset, has_origin: bool,
-                    witness) -> Polyhedron:
-        """The face of member i holding the support points `argmax` (and the
-        origin when `has_origin`); `witness` is any normal exposing it."""
-        key = (i, argmax, has_origin)
-        face = self._member_faces.get(key)
+    def member_face(self, i: int, part: int) -> Polyhedron:
+        """The face of member i holding the points of layer i whose bits are
+        set in `part`: the polytope of the member's vertices among them."""
+        face = self._member_faces.get((i, part))
         if face is None:
-            face = self._member_faces[key] = \
-                self.members[i].face_in_direction(witness)
+            face = self._member_faces[i, part] = _polytope(
+                self.n, self.supports[i], part & self._vertex_bits[i])
         return face
 
 
@@ -83,6 +83,7 @@ class TupleFace:
     argmax: tuple                  # per member: support points on its face
     origin_members: frozenset      # members whose face contains the origin
     dicritical: bool
+    _parts: tuple = field(repr=False, compare=False)  # the layer masks
     tup: PolytopeTuple = field(repr=False, compare=False)
 
     @property
@@ -103,10 +104,17 @@ class TupleFace:
 
     @cached_property
     def members(self) -> tuple:
-        """Per component, the member face exposed by the witness normal."""
-        return tuple(self.tup.member_face(i, s, i in self.origin_members,
-                                          self.witness_normal)
-                     for i, s in enumerate(self.argmax))
+        """Per component, the member face given by the layer mask."""
+        return tuple(self.tup.member_face(i, part)
+                     for i, part in enumerate(self._parts))
+
+
+def _polytope(n: int, support: Sequence, bits: int) -> Polyhedron:
+    """The polytope of the points of the layer support + (origin,) whose bits
+    are set, trusted as its vertices."""
+    layer = tuple(support) + ((0,) * n,)
+    return Polyhedron._from_vertices(
+        n, [p for k, p in enumerate(layer) if bits >> k & 1])
 
 
 def delta0(supports: Sequence, n: int = None, dim_cap: int = DIM_CAP) -> PolytopeTuple:
@@ -126,22 +134,23 @@ def delta0(supports: Sequence, n: int = None, dim_cap: int = DIM_CAP) -> Polytop
                  for sup in supports)
     layers = [sup + (origin,) for sup in ints]
     cayley = _cayley_faces(layers)
-    return PolytopeTuple(_members(n, layers, cayley[2]), ints, cayley)
+    bits = tuple(_members(layers, cayley[2]))
+    members = tuple(_polytope(n, sup, b) for sup, b in zip(ints, bits))
+    return PolytopeTuple(members, ints, cayley, bits)
 
 
-def _members(n: int, layers: Sequence, facet_masks: Sequence[int]) -> tuple:
-    """conv(layer) per layer, from the layer points at which the Cayley
-    facets through them meet alone: its vertices."""
+def _members(layers: Sequence, facet_masks: Sequence[int]):
+    """Per layer, the bits in it of the points at which the Cayley facets
+    through them meet alone: the vertices of conv(layer)."""
     full = (1 << sum(map(len, layers))) - 1
-    members, bit = [], 1
+    bit = 1
     for layer in layers:
-        vertices = []
-        for p in layer:
+        bits = 0
+        for k in range(len(layer)):
             if reduce(and_, (m for m in facet_masks if m & bit), full) == bit:
-                vertices.append(p)
+                bits |= 1 << k
             bit <<= 1
-        members.append(Polyhedron._from_vertices(n, vertices))
-    return tuple(members)
+        yield bits
 
 
 def enumerate_tuple_faces(tup: PolytopeTuple) -> list:
@@ -150,41 +159,37 @@ def enumerate_tuple_faces(tup: PolytopeTuple) -> list:
     is lower-dimensional (its normal cone, the supports' orthogonal
     complement, then carries genuine contributions).
 
-    A face's cone has as rays the primitive x-parts of the normals of the
-    Cayley facets through it, reduced modulo the `int_rref` of the
+    A face's cone has as rays the primitive x-parts of the outer normals of
+    the Cayley facets through it, reduced modulo the `int_rref` of the
     equalities' x-parts, which span its lineality.  The witness normal is
-    the sum of the rays, or the first lineality row when there are none.  A
-    member's argmax set is its support points at the top value t of <w, a>
-    when t >= 0, and the origin is on its face when t <= 0.  Face ids follow
-    (dimension of the summed face, its sorted vertices), which are the sums
-    of the one-point-per-layer faces below it.
+    the sum of the rays, or the first lineality row when there are none.
+    Member i's argmax set is the support points set in the face's layer-i
+    mask, and i is an origin member when the layer's last bit, the origin,
+    is set.  Face ids follow (dimension of the summed face, its sorted
+    vertices), which are the sums of the one-point-per-layer faces below it.
     """
     n = tup.n
     ineqs, eqs, facet_masks, cayley = tup.cayley
-    lins, pivots = int_rref([a[:n] for a, _ in eqs])
-    normals = [_ireduce(reduce_mod(a[:n], lins, pivots)) for a, _ in ineqs]
+    lins, pivots = int_rref([a[:n] for a in eqs])
+    normals = [_ireduce(reduce_mod(a[:n], lins, pivots)) for a in ineqs]
     layers = [sup + ((0,) * n,) for sup in tup.supports]
     vertices = [(mask, tuple(map(sum, zip(*(
         layer[part.bit_length() - 1] for part, layer in zip(parts, layers))))))
         for mask, parts in cayley if all(p & (p - 1) == 0 for p in parts)]
     keyed = []
-    for mask, _ in cayley:
+    for mask, parts in cayley:
         rays = [r for r, m in zip(normals, facet_masks) if mask & m == mask]
         witness = primitive(map(sum, zip(*rays)) if rays else lins[0])
         dim = n - len(lins) - matrix_rank(rays)
         key = (dim, tuple(sorted(v for m, v in vertices if mask & m == m)))
-        argmax, origin_members = [], set()
-        for i, sup in enumerate(tup.supports):
-            values = [sum(map(mul, witness, a)) for a in sup]
-            top = max(values, default=0)
-            argmax.append(frozenset(a for a, x in zip(sup, values) if x == top)
-                          if top >= 0 else frozenset())
-            if top <= 0:
-                origin_members.add(i)
+        argmax = tuple(frozenset(a for k, a in enumerate(sup) if part >> k & 1)
+                       for sup, part in zip(tup.supports, parts))
+        origin_members = frozenset(i for i, (sup, part) in enumerate(
+            zip(tup.supports, parts)) if part >> len(sup))
         degenerate = any(not argmax[i] for i in origin_members)
         positive = _positive_direction(rays, lins) is not None
-        keyed.append((key, witness, dim, tuple(argmax),
-                      frozenset(origin_members), positive and not degenerate))
+        keyed.append((key, witness, dim, argmax, origin_members,
+                      positive and not degenerate, tuple(parts)))
     keyed.sort(key=lambda e: e[0])
     return [TupleFace(fid, *fields, tup=tup)
             for fid, (_, *fields) in enumerate(keyed)]

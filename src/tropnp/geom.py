@@ -25,18 +25,20 @@ Conventions
   and all lists are sorted: rays and constraints lexicographically by their
   public form, points by the rational points they stand for.  Equal sets
   get equal canonical forms.
-* Minkowski sums and affine images are built from the operands'
-  generators and keep them unreduced; a double description runs only when
-  the reduced generators or the H-representation are read.
+* A polyhedron always holds generators.  Built from constraints, it gets
+  them at once from one double description and keeps none of the given
+  rows, so the H-representation is only ever derived and `hrep()` is always
+  canonical.  Minkowski sums and affine images are built from the
+  operands' generators and keep them unreduced; a double description runs
+  only when the reduced generators or the H-representation are read.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import reduce
 from math import gcd
-from operator import and_, mul
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 #: Default cap on the ambient dimension; double description is exponential
@@ -330,8 +332,14 @@ def dd_generators(dim: int, equalities: Sequence[IVec], inequalities: Sequence[I
     return list(dd.lin), list(dd.rays)
 
 
+def _cone_generators(n: int, hin: Sequence[IVec], heq: Sequence[IVec]):
+    """Generators (lineality, rays) of the homogenization cone in R^(n+1)
+    cut out by homogenized rows and x0 >= 0."""
+    return dd_generators(n + 1, heq, list(hin) + [(1,) + (0,) * n])
+
+
 # ---------------------------------------------------------------------------
-# homogenized builder shared by Polyhedron and the refinement machinery
+# homogenized rows, points and incidences
 # ---------------------------------------------------------------------------
 
 def _homog_ineq(normal: Vec, offset) -> IVec:
@@ -345,49 +353,11 @@ def _homog_point(p: Vec) -> IVec:
     return primitive((1,) + tuple(p))
 
 
-class HBuilder:
-    """Incrementally built polyhedron {x : constraints}, homogenized in R^(n+1).
-
-    Used by the cell-refinement search: clone, add constraints, prune on
-    emptiness, and convert survivors to Polyhedron values.
-    """
-
-    __slots__ = ("n", "_dd")
-
-    def __init__(self, n: int, _dd: Optional[_DD] = None):
-        self.n = n
-        if _dd is None:
-            self._dd = _DD(n + 1)
-            self._dd.add(tuple([1] + [0] * n))  # x0 >= 0
-        else:
-            self._dd = _dd
-
-    def clone(self) -> "HBuilder":
-        return HBuilder(self.n, self._dd.clone())
-
-    def add_homog(self, hvec: IVec, equality: bool = False) -> None:
-        self._dd.add(hvec, equality=equality)
-
-    @property
-    def is_empty(self) -> bool:
-        return not any(r[0] > 0 for r in self._dd.rays)
-
-    @property
-    def ncons(self) -> int:
-        """Constraints added so far, x0 >= 0 included; the k-th owns bit k."""
-        return self._dd.ncons
-
-    @property
-    def tight_mask(self) -> int:
-        """Bits of the constraints tight on the whole (nonempty) polyhedron.
-
-        Lineality lies in every constraint's hyperplane, so these are the
-        constraints active on every extreme ray, x0 = 0 rays included.
-        """
-        return reduce(and_, self._dd.masks)
-
-    def to_polyhedron(self) -> "Polyhedron":
-        return Polyhedron._from_homog_generators(self.n, self._dd.lin, self._dd.rays)
+def _incidence_masks(rows: Sequence[IVec], gens: Sequence[IVec]) -> list:
+    """Per homogenized constraint row, the bitmask of the homogenized
+    generators on its hyperplane: bit k for gens[k]."""
+    return [sum(1 << k for k, g in enumerate(gens) if vdot(h, g) == 0)
+            for h in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +365,16 @@ class HBuilder:
 # ---------------------------------------------------------------------------
 
 class Polyhedron:
-    """An exact rational convex polyhedron with both descriptions on demand.
+    """An exact rational convex polyhedron, held by its generators.
 
-    Immutable once constructed; the two representations are derived lazily
-    from one another through the double description method and cached in
-    canonical form, as homogenized integer data (see the module doc).
+    Immutable once constructed; the H-representation and the reduced
+    generators are derived lazily through the double description method and
+    cached in canonical form, as homogenized integer data (see the module
+    doc).
     """
 
-    __slots__ = ("n", "_hin", "_heq", "_hgiven", "_points", "_rays", "_lins",
-                 "_empty", "_dim", "_vreduced")
+    __slots__ = ("n", "_hin", "_heq", "_points", "_rays", "_lins", "_dim",
+                 "_vreduced")
 
     def __init__(self):
         raise TypeError("use Polyhedron.from_hrep / from_generators / empty")
@@ -414,21 +385,20 @@ class Polyhedron:
     def _new(n: int) -> "Polyhedron":
         self = object.__new__(Polyhedron)
         self.n = n
-        self._hin = None      # homogenized inequality rows
-        self._heq = None      # homogenized equality rows
-        self._hgiven = False  # _hin/_heq are from_hrep's rows, not canonical
+        self._hin = None      # canonical homogenized inequality rows
+        self._heq = None      # canonical homogenized equality rows
         self._points = None   # homogenized points (d, d p), sorted by p
         self._rays = None
         self._lins = None     # int_rref basis of the lineality space
-        self._empty = None
         self._dim = None
         self._vreduced = False
         return self
 
     @classmethod
     def from_hrep(cls, n: int, inequalities=(), equalities=()) -> "Polyhedron":
-        """Build from half-spaces (normal, offset) and equalities (normal, offset)."""
-        self = cls._new(n)
+        """Build from half-spaces (normal, offset) and equalities (normal,
+        offset): one double description gives the generators at once, and
+        the given rows are not kept."""
         rows = ([], [])
         for pairs, out in ((inequalities, rows[0]), (equalities, rows[1])):
             for normal, offset in pairs:
@@ -436,17 +406,15 @@ class Polyhedron:
                 if len(normal) != n:
                     raise GeometryError(f"constraint dimension {len(normal)} != {n}")
                 out.append(_homog_ineq(normal, offset))
-        self._hin, self._heq = rows
-        self._hgiven = True
-        return self
+        return cls._from_homog_generators(n, *_cone_generators(n, *rows))
 
     @classmethod
     def from_generators(cls, n: int, points=(), rays=(), lineality=()) -> "Polyhedron":
         """Build conv(points) + cone(rays) + span(lineality); empty if no points."""
         points = [tuple(p) for p in points]
-        for p in points:
-            if len(p) != n:
-                raise GeometryError(f"point dimension {len(p)} != {n}")
+        for v in itertools.chain(points, rays, lineality):
+            if len(v) != n:
+                raise GeometryError(f"generator dimension {len(v)} != {n}")
         if not points:
             return cls.empty(n)
         return cls._from_vdata(n, [_homog_point(p) for p in points],
@@ -456,7 +424,6 @@ class Polyhedron:
     @classmethod
     def empty(cls, n: int) -> "Polyhedron":
         self = cls._new(n)
-        self._empty = True
         self._points, self._rays, self._lins = [], [], []
         self._hin = [(-1,) + (0,) * n]
         self._heq = []
@@ -473,7 +440,6 @@ class Polyhedron:
     def _from_vdata(cls, n, points, rays, lins) -> "Polyhedron":
         """From nonempty homogenized points, integer rays and lineality."""
         self = cls._new(n)
-        self._empty = False
         self._set_vrep(points, rays, lins)
         return self
 
@@ -499,7 +465,6 @@ class Polyhedron:
         one's reduced rays and its lineality, e.g. a face or the recession
         cone; sublists of the reduced lists keep the canonical order."""
         face = Polyhedron._new(self.n)
-        face._empty = False
         face._points, face._rays, face._lins = points, rays, self._lins
         face._vreduced = True  # extreme generators of P on a face are its own
         return face
@@ -518,7 +483,6 @@ class Polyhedron:
                 raise GeometryError("homogenization lineality with nonzero x0")
             if any(l[1:]):
                 lins.append(l[1:])
-        self._empty = False
         self._set_vrep(points, [r[1:] for r in rays if r[0] == 0 and any(r[1:])],
                        lins)
         self._vreduced = True  # double description output is already extreme
@@ -544,27 +508,12 @@ class Polyhedron:
         self._rays = sorted(set(rays))
         self._lins = lins
 
-    def _ensure_vrep(self) -> None:
-        if self._points is not None:
-            return
-        self._vrep_from_hrep()
-
-    def _vrep_from_hrep(self) -> None:
-        ineqs = self._hin + [tuple([1] + [0] * self.n)]  # x0 >= 0
-        lin, rays = dd_generators(self.n + 1, self._heq, ineqs)
-        if not self._set_homog_generators(lin, rays):
-            self._empty = True
-            self._points, self._rays, self._lins = [], [], []
-            self._dim = -1
-            self._vreduced = True
-
     def _ensure_reduced_vrep(self) -> None:
-        """Drop non-extreme generators by round-tripping through the H-rep."""
-        self._ensure_vrep()
-        if self._vreduced or self._empty:
+        """Drop non-extreme generators: the canonical rows, then one double
+        description of the homogenization cone they cut out."""
+        if self._vreduced:
             return
-        self._ensure_hrep()
-        self._vrep_from_hrep()
+        self._set_homog_generators(*_cone_generators(self.n, *self._rows()))
 
     def _ensure_hrep(self) -> None:
         if self._hin is not None:
@@ -584,13 +533,16 @@ class Polyhedron:
         self._hin = sorted(hin, key=_row_order)
         self._heq = sorted(heq, key=_row_order)
 
+    def _rows(self):
+        """The canonical homogenized (inequality, equality) rows."""
+        self._ensure_hrep()
+        return self._hin, self._heq
+
     # -- basic queries -------------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        if self._empty is None:
-            self._ensure_vrep()
-        return self._empty
+        return not self._points
 
     @property
     def vertices(self) -> list:
@@ -609,27 +561,18 @@ class Polyhedron:
         return list(self._lins)
 
     def hrep(self):
-        """Canonical (inequalities, equalities), both as (normal, offset) pairs.
-
-        A polyhedron built by `from_hrep` returns the constraints it was
-        given, scaled to primitive integer rows and in the given order, until
-        `dual_description` replaces them by the canonical ones.
-        """
+        """Canonical (inequalities, equalities), both as (normal, offset)
+        pairs, derived from the generators however the polyhedron was built:
+        equal sets give equal lists."""
         self._ensure_hrep()
         return ([_public_row(h) for h in self._hin],
                 [_public_row(h) for h in self._heq])
 
     def dual_description(self) -> "Polyhedron":
-        """Populate and canonicalize both representations; returns self.
-
-        The constraints given to `from_hrep` are dropped once the generators
-        are known, and the canonical ones are rebuilt from those.
-        """
+        """Compute the reduced generators and the canonical rows now, so
+        that later reads cost nothing; returns self."""
         if not self.is_empty:
             self._ensure_reduced_vrep()
-            if self._hgiven:
-                self._hin = self._heq = None
-                self._hgiven = False
             self._ensure_hrep()
         return self
 
@@ -637,7 +580,7 @@ class Polyhedron:
     def dim(self) -> int:
         """Affine dimension; -1 for the empty polyhedron."""
         if self._dim is None:
-            self._dim = -1 if self.is_empty else self._generator_dim()
+            self._dim = self._generator_dim()
         return self._dim
 
     def _satisfied_by(self, g: IVec) -> bool:
@@ -674,7 +617,6 @@ class Polyhedron:
         """The vertex barycenter pushed into the relative interior by the rays."""
         if self.is_empty:
             raise GeometryError("empty polyhedron has no relative interior point")
-        self._ensure_vrep()
         den = 1
         for p in self._points:
             den = den * p[0] // gcd(den, p[0])
@@ -726,18 +668,6 @@ class Polyhedron:
                 top, den = v, d
         points = [p for p, (v, d) in zip(self._points, values) if v * den == top * d]
         return points, top, den
-
-    def face_in_direction(self, alpha) -> Optional["Polyhedron"]:
-        """The argmax face of <alpha, .>; None when unbounded in that direction."""
-        _, a = _scaled_ints(alpha)
-        if self.is_empty:
-            raise GeometryError("empty polyhedron has no faces")
-        if not any(a):
-            raise GeometryError("direction must be nonzero")
-        found = self._argmax(a)
-        if found is None:
-            return None
-        return self._sub(found[0], [r for r in self._rays if vdot(a, r) == 0])
 
     def support_value(self, alpha):
         """sup of <alpha, .>; None when unbounded above."""
@@ -793,10 +723,8 @@ class Polyhedron:
         """(reduced generators, points then (0, ray), and per canonical
         inequality row the bitmask of the generators on its hyperplane)."""
         self._ensure_reduced_vrep()
-        self._ensure_hrep()
         gens = self._points + [(0,) + r for r in self._rays]
-        return gens, [sum(1 << k for k, g in enumerate(gens) if vdot(h, g) == 0)
-                      for h in self._hin]
+        return gens, _incidence_masks(self._rows()[0], gens)
 
     def proper_faces_with_active(self):
         """Proper faces paired with the indices of the facets containing them."""
@@ -843,7 +771,6 @@ class Polyhedron:
         fan = []
         for mask in sorted(mask_closure(masks, masks)) + ([full] if lins else []):
             cone = Polyhedron._new(self.n)
-            cone._empty = False
             cone._points, cone._lins, cone._vreduced = origin, lins, True
             cone._rays = sorted(r for r, m in zip(normals, masks)
                                 if mask & m == mask)

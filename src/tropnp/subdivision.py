@@ -29,11 +29,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from typing import Mapping, Optional, Sequence
 
-from .geom import (HBuilder, Polyhedron, _homog_point, _ireduce, mask_closure,
-                   matrix_rank, vdot, vsub)
+from .geom import (_DD, Polyhedron, _homog_point, _incidence_masks, _ireduce,
+                   mask_closure, matrix_rank, vsub)
 from .tropical import MINUS_INF, ExtRat, is_minus_inf
 
 
@@ -66,12 +67,13 @@ def _cayley_faces(layers: Sequence[Sequence], lifts=None):
     lifted to conv{(p, e_i, lift)} by `lifts` (a value per point) if given;
     the first unit vector is dropped, so that one layer is its own hull.
 
-    Returns the hull's canonical `hrep()`, per inequality the mask of the
-    points on its facet (bit k for the k-th point, layer by layer, all of
-    them and not only vertices), and per face meeting every layer (mask,
-    per-layer masks).  The faces are the ANDs of facet masks, the hull too
-    when an equality holds on it; lifted, only those exposed by some (x, 1):
-    the ANDs with an upper facet, or all when an equality involves the lift.
+    Returns the integer outer normals of the hull's canonical inequalities
+    and equalities, per inequality the mask of the points on its facet (bit
+    k for the k-th point, layer by layer, all of them and not only
+    vertices), and per face meeting every layer (mask, per-layer masks).
+    The faces are the ANDs of facet masks, the hull too when an equality
+    holds on it; lifted, only those exposed by some (x, 1): the ANDs with an
+    upper facet, or all when an equality involves the lift.
     """
     points, spans = [], []
     for i, layer in enumerate(layers):
@@ -80,16 +82,13 @@ def _cayley_faces(layers: Sequence[Sequence], lifts=None):
         points += [p + unit for p in layer]
     if lifts is not None:
         points = [p + (c,) for p, c in zip(points, itertools.chain(*lifts))]
-    ineqs, eqs = Polyhedron.from_generators(len(points[0]), points).hrep()
-    homog = [_homog_point(p) for p in points]
-    facet_masks = []
-    for a, b in ineqs:
-        # the homogenized row of a . p <= b, zero on the facet's hyperplane
-        h = (b.numerator,) + tuple(-x for x in a)
-        facet_masks.append(sum(1 << k for k, q in enumerate(homog)
-                               if vdot(h, q) == 0))
-    if lifts is not None and not any(a[-1] != 0 for a, _ in eqs):
-        seeds = [m for m, (a, _) in zip(facet_masks, ineqs) if a[-1] > 0]
+    hin, heq = Polyhedron.from_generators(len(points[0]), points)._rows()
+    facet_masks = _incidence_masks(hin, [_homog_point(p) for p in points])
+    # a row (offset, -normal) holds on the points x with normal . x <= offset
+    ineqs, eqs = ([tuple(-x for x in h[1:]) for h in rows]
+                  for rows in (hin, heq))
+    if lifts is not None and not any(a[-1] != 0 for a in eqs):
+        seeds = [m for m, a in zip(facet_masks, ineqs) if a[-1] > 0]
     else:
         seeds = [(1 << len(points)) - 1] if eqs else facet_masks
     faces = [(m, [m >> s & full for s, full in spans])
@@ -189,7 +188,7 @@ class Cell:
     """A (relatively open) cell, stored by its closure, with its argmax
     profile: one FactorCell per factor."""
 
-    __slots__ = ("id", "closure", "dim", "profile", "argmax", "level_flags")
+    __slots__ = ("id", "closure", "dim", "profile", "argmax")
 
     def __init__(self, cid, closure, profile):
         self.id = cid
@@ -197,7 +196,6 @@ class Cell:
         self.dim = closure.dim
         self.profile = profile
         self.argmax = tuple(fc.argmax for fc in profile)
-        self.level_flags = tuple(fc.has_level for fc in profile)
 
     def is_transversal(self):
         """dim dual == sum of the summand dims, read off the ranks of the
@@ -264,29 +262,37 @@ def _refine(n: int, factor_lists: Sequence[Sequence[FactorCell]]) -> list:
     one FactorCell per factor list, in search order."""
     found = []
 
-    def search(i, builder, profile, in_bits):
-        # in_bits: the builder's bits of every in_h inequality added so far.
-        # One of them tight on the whole node polyhedron stays tight on every
-        # nonempty leaf below it, so a relative-interior point there would
-        # tie a non-member entry: the points belong to a finer profile.
+    def empty(dd):
+        return not any(r[0] > 0 for r in dd.rays)
+
+    def search(i, dd, profile, in_bits):
+        # dd: the homogenization cone of the node polyhedron, constraint k
+        # owning bit k.  in_bits: the bits of every in_h inequality added so
+        # far.  One of them tight on the whole node polyhedron (on every
+        # extreme ray: the lineality lies in every hyperplane) stays tight
+        # on every nonempty leaf below it, so a relative-interior point there
+        # would tie a non-member entry: the points belong to a finer profile.
         if i == len(factor_lists):
-            found.append((profile, builder.to_polyhedron()))
+            found.append((profile, Polyhedron._from_homog_generators(
+                n, dd.lin, dd.rays)))
             return
         for fc in factor_lists[i]:
-            b = builder.clone()
+            d = dd.clone()
             for h in fc.eq_h:
-                b.add_homog(h, equality=True)
-            if b.is_empty:
+                d.add(h, equality=True)
+            if empty(d):
                 continue
-            first = b.ncons
+            first = d.ncons
             for h in fc.in_h:
-                b.add_homog(h)
-            if b.is_empty:
+                d.add(h)
+            if empty(d):
                 continue
-            bits = in_bits | ((1 << b.ncons) - (1 << first))
-            if b.tight_mask & bits:
+            bits = in_bits | ((1 << d.ncons) - (1 << first))
+            if reduce(and_, d.masks) & bits:
                 continue
-            search(i + 1, b, profile + (fc,), bits)
+            search(i + 1, d, profile + (fc,), bits)
 
-    search(0, HBuilder(n), (), 0)
+    root = _DD(n + 1)
+    root.add((1,) + (0,) * n)  # x0 >= 0
+    search(0, root, (), 0)
     return found

@@ -177,7 +177,7 @@ def valuation_of_series(text: str):
     a non-real coefficient part is discarded with a notice.
     """
     m = _SERIES_RE.match(text)
-    if m is None or ("t" not in text and m.group("exp")):
+    if m is None or not text.strip() or ("t" not in text and m.group("exp")):
         raise ValueError(f"cannot parse series coefficient {text!r}")
     notices = []
     coeff = (m.group("coeff") or "").strip()

@@ -7,7 +7,7 @@ from functools import reduce
 import pytest
 
 from tropnp.engine import analyze_gamma
-from tropnp.geom import (HBuilder, Polyhedron, convex_hull, frac_vec,
+from tropnp.geom import (_DD, GeometryError, Polyhedron, convex_hull, frac_vec,
                          primitive, vdot, vsub)
 from tropnp.subdivision import decomposition
 from tropnp.tropical import (MINUS_INF, TropicalMap, TropicalPolynomial,
@@ -61,24 +61,39 @@ def reference_arrangement(n, hyperplanes):
     hyperplane, so a cone comes once for every sign vector describing it."""
     cells = []
 
-    def rec(i, builder, signs):
+    def rec(i, dd, signs):
         if i == len(hyperplanes):
-            poly = builder.to_polyhedron()
+            poly = Polyhedron._from_homog_generators(n, dd.lin, dd.rays)
             if poly.is_empty:
                 return
             cells.append((signs, poly))
             return
         a = hyperplanes[i]
         for s in (-1, 0, 1):
-            b = builder.clone()
-            b.add_homog((0,) + tuple(-x if s < 0 else x for x in a),
-                        equality=s == 0)
-            if b.is_empty:
+            d = dd.clone()
+            d.add((0,) + tuple(-x if s < 0 else x for x in a), equality=s == 0)
+            if not any(r[0] > 0 for r in d.rays):
                 continue
-            rec(i + 1, b, signs + (s,))
+            rec(i + 1, d, signs + (s,))
 
-    rec(0, HBuilder(n), ())
+    root = _DD(n + 1)
+    root.add((1,) + (0,) * n)  # x0 >= 0
+    rec(0, root, ())
     return cells
+
+
+def face_in_direction(poly, alpha):
+    """The argmax face of <alpha, .> on a nonempty polyhedron, from its
+    reduced generators; None when unbounded in that direction."""
+    a = primitive(alpha)
+    if poly.is_empty:
+        raise GeometryError("empty polyhedron has no faces")
+    if not any(a):
+        raise GeometryError("direction must be nonzero")
+    found = poly._argmax(a)
+    if found is None:
+        return None
+    return poly._sub(found[0], [r for r in poly.rays if vdot(a, r) == 0])
 
 
 def restrict(p, face):
@@ -255,8 +270,9 @@ def cell_containing(cx, term_maps, levels, x):
     for cell in cx.cells:
         if cell.closure.contains(x) and all(
                 argmax_at(terms, level, x) == (S, has)
-                for terms, level, S, has in zip(term_maps, levels, cell.argmax,
-                                                cell.level_flags)):
+                for terms, level, S, has in zip(
+                    term_maps, levels, cell.argmax,
+                    [fc.has_level for fc in cell.profile])):
             return cell
     return None
 
@@ -311,7 +327,8 @@ def duality_violations(cx, term_maps, levels):
     problems = []
     sum_poly = sum_polytope(cx.n, term_maps, levels)
     ineqs, _ = sum_poly.hrep()
-    facets = [(normal, sum_poly.face_in_direction(normal)) for normal, _ in ineqs]
+    facets = [(normal, face_in_direction(sum_poly, normal))
+              for normal, _ in ineqs]
     origin = (0,) * cx.n
     for cell in cx.cells:
         dual = cell_dual(cell)

@@ -202,6 +202,55 @@ def test_output_document_without_pieces_is_refused(tmp_path, capsys):
         assert err.count("\n") == 1 and str(f) in err and missing in err, err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("rays", [[1, -2, 5]]),
+    ("rays", [[1]]),
+    ("rays", [[True, 0]]),
+    ("rays", [["1", "0"]]),
+    ("rays", [-1, -1]),
+    ("lineality", [[0, 1, 0]]),
+    ("lineality", [[0.5, 1]]),
+    ("vertices", [["0", "-2", "1"]]),
+    ("vertices", [[0.5, "-2"]]),
+    ("vertices", [[True, "-2"]]),
+], ids=["ray-of-3", "ray-of-1", "bool-ray", "string-ray", "ray-not-a-vector",
+        "lineality-of-3", "float-lineality", "vertex-of-3", "float-vertex",
+        "bool-vertex"])
+@pytest.mark.parametrize("reader", ["newton", "oracle"])
+def test_malformed_piece_is_refused(tmp_path, capsys, key, value, reader):
+    # piece 0 of map2d's document is the half-line (0, -2) + cone{(-1, -1)};
+    # each vector of a piece needs n entries, integers in rays and lineality
+    good = tmp_path / "good.json"
+    code, _, _ = run(capsys, "compute", "--input", MAP2D, "--output", str(good))
+    assert code == 0
+    doc = json.loads(good.read_text())
+    doc["tnp"]["pieces"][0][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = (["newton", "--tnp", str(bad)] if reader == "newton" else
+            ["oracle", "--input", MAP2D, "--grid", "--res", "9", "--box=-12,4",
+             "--against", str(bad)])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith(f"error: {bad}: piece 0 is malformed") \
+        and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("term", [
+    {"exp": [1, 0], "series": ""},
+    {"exp": [1, 0], "series": "  "},
+    {"exp": [1, 0], "val": "1", "series": "t"},
+], ids=["empty-series", "blank-series", "val-and-series"])
+def test_term_grammar_is_refused(tmp_path, capsys, term):
+    # an empty series has no valuation, and a term gives one value only
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "maps": [[GOOD_TERM], [term]]}))
+    code, out, err = run(capsys, "compute", "--input", str(path))
+    assert code == 1 and not out
+    assert err.startswith(f"error: {path}: component 1: ") \
+        and err.count("\n") == 1, err
+
+
 class TestComputeCommand:
     def test_output_document(self, tmp_path, capsys, map2d, map2d_target_terms):
         out = tmp_path / "out.json"

@@ -12,8 +12,8 @@ from tropnp.geom import convex_hull, primitive
 from tropnp.subdivision import _factor_cells
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
-from conftest import (equal_as_sets, fixture_path, minkowski_sum_of,
-                      normal_cone_of_face, restrict)
+from conftest import (equal_as_sets, face_in_direction, fixture_path,
+                      minkowski_sum_of, normal_cone_of_face, restrict)
 from property_suite import random_map
 
 F = Fraction
@@ -45,7 +45,7 @@ def reference_tuple_faces(tup):
     for fid, (sum_face, cone) in enumerate(entries):
         witness = primitive(map(sum, zip(*cone.rays)) if cone.rays
                             else cone.lineality[0])
-        members = tuple(m.face_in_direction(witness) for m in tup.members)
+        members = tuple(face_in_direction(m, witness) for m in tup.members)
         faces.append(SimpleNamespace(
             id=fid, witness_normal=witness, dim=sum_face.dim,
             sum_face=sum_face, cone=cone, members=members,
@@ -59,9 +59,10 @@ def _flags(f):
 
 
 def assert_matches_reference(fmap, tup, faces, thorough=True):
-    """Ids, witnesses, summed-face dimensions, member vertex sets, flags and
-    the argmax sets agree with the face-lattice construction; `thorough`
-    adds the summed faces and analyze_gamma's restricted term dicts."""
+    """Ids, witnesses, summed-face dimensions, member vertex sets and
+    H-representations, flags and the argmax sets agree with the face-lattice
+    construction; `thorough` adds the summed faces and analyze_gamma's
+    restricted term dicts."""
     ref = reference_tuple_faces(tup)
     assert [f.id for f in faces] == list(range(len(ref)))
     for f, r in zip(faces, ref):
@@ -69,6 +70,7 @@ def assert_matches_reference(fmap, tup, faces, thorough=True):
         assert f.dim == r.dim
         assert [set(m.vertices) for m in f.members] \
             == [set(m.vertices) for m in r.members]
+        assert [m.hrep() for m in f.members] == [m.hrep() for m in r.members]
         assert _flags(f) == r.flags
         expected = tuple(restrict(comp, m)
                          for comp, m in zip(fmap.components, r.members))
@@ -196,7 +198,7 @@ class TestEnumeration:
     def test_witness_exposes_the_sum_face(self, tup2, faces2):
         total = minkowski_sum_of(tup2.members)
         for f in faces2:
-            exposed = total.face_in_direction(f.witness_normal)
+            exposed = face_in_direction(total, f.witness_normal)
             assert equal_as_sets(exposed, minkowski_sum_of(f.members))
             assert exposed.dim == f.dim
 
@@ -208,7 +210,7 @@ class TestEnumeration:
                 for m in f.members[1:]:
                     acc = acc.minkowski_sum(m)
                 assert equal_as_sets(
-                    acc, total.face_in_direction(f.witness_normal))
+                    acc, face_in_direction(total, f.witness_normal))
 
     def test_collinear_witness_face(self, faces2):
         f = next(f for f in faces2 if f.witness_normal == (1, -2))
@@ -279,7 +281,7 @@ class TestClassification:
                            tuple(a - b for a, b in zip(w, l))]
             assert others
             for v in others:
-                members = [m.face_in_direction(v) for m in tup2.members]
+                members = [face_in_direction(m, v) for m in tup2.members]
                 assert _reference_flags(members, ref.cone) == _flags(f)
 
 

@@ -9,8 +9,9 @@ from tropnp.geom import (GeometryError, Polyhedron, convex_hull, int_rref,
                          is_dicritical_cone, matrix_rank,
                          positive_coordinate_witness, primitive, reduce_mod)
 
-from conftest import (covered_by_union, equal_as_sets, normal_cone_of_face,
-                      rank, reduce_modulo, rref, union_equal)
+from conftest import (covered_by_union, equal_as_sets, face_in_direction,
+                      normal_cone_of_face, rank, reduce_modulo, rref,
+                      union_equal)
 
 F = Fraction
 
@@ -57,6 +58,27 @@ class TestDualDescription:
         p = Polyhedron.from_hrep(1, [((1,), -1), ((-1,), -1)])
         assert p.is_empty
 
+    def test_constraints_are_not_kept(self):
+        # the unit square with a redundant row (x + y <= 3), a row that is
+        # not primitive (2x <= 2) and its bottom row given twice: hrep() is
+        # the canonical one that the square's generators give, not the rows
+        # it was built from
+        given = Polyhedron.from_hrep(2, [((1, 1), 3), ((2, 0), F(2)),
+                                         ((0, 1), F(1, 1)), ((-1, 0), 0),
+                                         ((0, -1), 0), ((0, -3), F(0))])
+        square = Polyhedron.from_generators(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+        assert given.hrep() == square.hrep()
+        assert given.hrep()[0] == [((-1, 0), 0), ((0, -1), 0), ((0, 1), 1),
+                                   ((1, 0), 1)]
+        # a segment whose line y = 1/6 is given as two inequalities with
+        # rational offsets
+        seg = Polyhedron.from_hrep(2, [((2, 0), F(1)), ((-4, 0), 0),
+                                       ((0, 3), F(1, 2)), ((0, -3), F(-1, 2)),
+                                       ((1, 1), 5)])
+        line = Polyhedron.from_generators(2, [(0, F(1, 6)), (F(1, 2), F(1, 6))])
+        assert seg.hrep() == line.hrep()
+        assert seg.hrep()[1] == [((0, 6), 1)]
+
     def test_idempotent_roundtrip(self):
         p = convex_hull([(0, 0), (2, 0), (0, 3)])
         ineqs, eqs = p.hrep()
@@ -79,25 +101,25 @@ class TestMinkowskiSum:
     def test_directional_face_of_sum(self):
         d1 = convex_hull([(0, 0), (0, 1), (0, 2), (1, 2), (2, 1), (4, 2)])
         d2 = convex_hull([(0, 0), (0, 1), (2, 1), (3, 2), (4, 2)])
-        face = d1.minkowski_sum(d2).face_in_direction((1, -2))
+        face = face_in_direction(d1.minkowski_sum(d2), (1, -2))
         assert verts(face) == {(0, 0), (8, 4)}
 
 
 class TestFaceInDirection:
     def test_collinear_triple_face(self):
         d1 = convex_hull([(0, 0), (0, 1), (0, 2), (1, 2), (2, 1), (4, 2)])
-        face = d1.face_in_direction((1, -2))
+        face = face_in_direction(d1, (1, -2))
         assert verts(face) == {(0, 0), (4, 2)}
         assert face.contains((2, 1))
 
     def test_square_edges_and_corners(self):
         sq = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-        assert verts(sq.face_in_direction((0, 1))) == {(0, 1), (1, 1)}
-        assert verts(sq.face_in_direction((1, 1))) == {(1, 1)}
+        assert verts(face_in_direction(sq, (0, 1))) == {(0, 1), (1, 1)}
+        assert verts(face_in_direction(sq, (1, 1))) == {(1, 1)}
 
     def test_unbounded_direction_gives_no_face(self):
         p = Polyhedron.from_hrep(2, [((1, 0), 0)])
-        assert p.face_in_direction((-1, 0)) is None
+        assert face_in_direction(p, (-1, 0)) is None
 
 
 def cone(rays=(), lineality=()):

@@ -60,7 +60,7 @@ class TestVirtualLevelComplex:
         assert cell.dim == 0
         assert cell_dual(cell).dim == 2
         assert summand_ranks(cell) == (1, 1)
-        assert cell.level_flags == (True, True)
+        assert tuple(fc.has_level for fc in cell.profile) == (True, True)
 
     def test_duality_invariants(self, cx, map2d_small):
         assert duality_violations(cx, map2d_small.term_maps(), LEVELS) == []
@@ -78,9 +78,9 @@ class TestVirtualLevelComplex:
                 if not cell.closure.contains(x):
                     continue
                 match = all(
-                    argmax_at(t, lvl, x) == (S, hl)
-                    for t, lvl, S, hl in zip(map2d_small.term_maps(), LEVELS,
-                                             cell.argmax, cell.level_flags))
+                    argmax_at(t, lvl, x) == (fc.argmax, fc.has_level)
+                    for t, lvl, fc in zip(map2d_small.term_maps(), LEVELS,
+                                          cell.profile))
                 if match:
                     hits.append(cell.id)
             assert len(hits) == 1
