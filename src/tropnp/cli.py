@@ -18,13 +18,13 @@ import json
 import sys
 from fractions import Fraction
 
-from .geom import DIM_CAP, Polyhedron
-from .tropical import (MINUS_INF, SupportError, TropicalMap,
-                       TropicalPolynomial, exact_fraction, valuation_of_series)
+from .geom import DIM_CAP, Polyhedron, vsub
+from .tropical import (SupportError, TropicalMap, TropicalPolynomial,
+                       exact_fraction, valuation_of_series)
 from .subdivision import cayley_profiles, decomposition, transversal
 from .faces import DimensionCapExceeded, delta0, enumerate_tuple_faces
 from .engine import GenericityError, TNPSet, analyze_gamma, tnp_set
-from .oracle import grid_compare, in_tnp
+from .oracle import grid_compare, in_tnp, virtual_preimage
 from .newton import FanError, recover_fan
 
 SCHEMA = "tnp/1"
@@ -101,7 +101,8 @@ def parse_input_spec(doc: dict):
                     raise InputError(f"component {i}: {exc}") from exc
                 notices.extend(notes)
             else:
-                raise InputError(f"term {term!r} needs 'val' or 'series'")
+                raise InputError(f"component {i}: term {term!r} needs 'val' "
+                                 "or 'series'")
             if exp in terms:
                 raise InputError(f"duplicate exponent {exp} in component {i}")
             terms[exp] = val
@@ -327,6 +328,11 @@ def _check_dim_cap(n, cap):
         raise DimensionCapExceeded(f"dimension {n} exceeds cap {cap}")
 
 
+def _tuple_faces(F, cap):
+    """The tuple-faces of delta0(F) under the dimension cap `cap`."""
+    return enumerate_tuple_faces(delta0(F, dim_cap=cap))
+
+
 def _transversality_report(F, faces):
     """Offending cells of the full decomposition and, when it has some, of
     the restricted decomposition of every tuple-face that offends.
@@ -353,7 +359,7 @@ def _transversality_report(F, faces):
     bad = {everyone: non_transversal(everyone)}
     if not bad[everyone]:
         return []
-    cx = decomposition(term_maps, [MINUS_INF] * F.n, n=F.n)
+    cx = decomposition(term_maps, F.n)
     offenders = [{"face": None, "cells": cx.is_transversal()[1]}]
     for face in faces:
         K = tuple(i for i, s in enumerate(face.argmax) if s)
@@ -373,8 +379,7 @@ def cmd_compute(args) -> int:
     for note in notices:
         print(f"notice: {note}", file=sys.stderr)
     _check_dim_cap(F.n, args.dim_cap)
-    tup = delta0(F, dim_cap=args.dim_cap)
-    faces = enumerate_tuple_faces(tup)
+    faces = _tuple_faces(F, args.dim_cap)
     offenders = _transversality_report(F, faces)
     if offenders:
         print("transversality violation; offending cells:", file=sys.stderr)
@@ -416,7 +421,7 @@ def cmd_oracle(args) -> int:
                                  f"the input has n = {F.n}")
             engine = _document_set(parsed)
         else:
-            engine = tnp_set(F)
+            engine = tnp_set(F, faces=_tuple_faces(F, args.dim_cap))
         box = _parse_box(args.box, "box", F.n) if args.box else None
         report = grid_compare(F, engine, box=box, resolution=args.res)
         doc["grid"] = {
@@ -460,8 +465,7 @@ def _parse_box(text: str, name: str, n: int):
 def cmd_faces(args) -> int:
     F, _ = load_input(args.input)
     _check_dim_cap(F.n, args.dim_cap)
-    tup = delta0(F, dim_cap=args.dim_cap)
-    faces = enumerate_tuple_faces(tup)
+    faces = _tuple_faces(F, args.dim_cap)
     doc = {"schema": SCHEMA, "n": F.n, "tuple_faces": faces_json(faces)}
     dump_doc(doc, args.output)
     return EXIT_OK
@@ -476,7 +480,7 @@ def cmd_newton(args) -> int:
     else:
         F, _ = load_input(args.input)
         _check_dim_cap(F.n, args.dim_cap)
-        source = tnp_set(F)
+        source = tnp_set(F, faces=_tuple_faces(F, args.dim_cap))
     fan = recover_fan(source)
     doc = {"schema": SCHEMA, "n": source.n, "fan": fan_json(fan)}
     dump_doc(doc, args.output)
@@ -487,48 +491,34 @@ def cmd_newton(args) -> int:
 # plotting (n = 2): deterministic hand-rolled SVG
 # ---------------------------------------------------------------------------
 
-def _clip_segment(p, q, window):
-    """Clip segment [p, q] to the window box; None if outside."""
-    (x0, x1), (y0, y1) = window
-    t_lo, t_hi = Fraction(0), Fraction(1)
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    for coord, d, lo, hi in ((p[0], dx, x0, x1), (p[1], dy, y0, y1)):
-        if d == 0:
+def _clip(p, d, t_lo, t_hi, window):
+    """The part of {p + t d : t_lo <= t <= t_hi} inside the window, as its
+    endpoints in the order of increasing t; None if it misses the window.
+    A bound of None leaves that side unbounded; d is nonzero."""
+    for coord, dc, (lo, hi) in zip(p, d, window):
+        if dc == 0:
             if coord < lo or coord > hi:
                 return None
             continue
-        ta, tb = Fraction(lo - coord, d), Fraction(hi - coord, d)
+        ta, tb = Fraction(lo - coord, dc), Fraction(hi - coord, dc)
         if ta > tb:
             ta, tb = tb, ta
-        t_lo, t_hi = max(t_lo, ta), min(t_hi, tb)
+        t_lo = ta if t_lo is None else max(t_lo, ta)
+        t_hi = tb if t_hi is None else min(t_hi, tb)
         if t_lo > t_hi:
             return None
-    a = (p[0] + t_lo * dx, p[1] + t_lo * dy)
-    b = (p[0] + t_hi * dx, p[1] + t_hi * dy)
-    return a, b
+    return tuple(tuple(a + t * b for a, b in zip(p, d)) for t in (t_lo, t_hi))
 
 
 def _segments_of(piece, window):
-    """1-dimensional piece -> clipped segment endpoints within the window."""
+    """1-dimensional piece -> clipped segment endpoints within the window:
+    a line, a segment or rays, each clipped exactly."""
     verts = piece.vertices
-    rays = piece.rays
-    lins = piece.lineality
-    (x0, x1), (y0, y1) = window
-    big = 4 * (abs(x1 - x0) + abs(y1 - y0) + 1)
-    if lins:
-        l = lins[0]
-        base = verts[0]
-        p = (base[0] - big * l[0], base[1] - big * l[1])
-        q = (base[0] + big * l[0], base[1] + big * l[1])
-        return [_clip_segment(p, q, window)]
+    if piece.lineality:
+        return [_clip(verts[0], piece.lineality[0], None, None, window)]
     if len(verts) == 2:
-        return [_clip_segment(tuple(verts[0]), tuple(verts[1]), window)]
-    segs = []
-    for v in verts:
-        for r in rays:
-            far = (v[0] + big * r[0], v[1] + big * r[1])
-            segs.append(_clip_segment(tuple(v), far, window))
-    return segs
+        return [_clip(verts[0], vsub(verts[1], verts[0]), 0, 1, window)]
+    return [_clip(v, r, 0, None, window) for v in verts for r in piece.rays]
 
 
 def _fmt(x) -> str:
@@ -538,11 +528,11 @@ def _fmt(x) -> str:
 def render_svg(F, s, window=None, y_overlay=None, size=640) -> str:
     """Gray cell decomposition, highlighted non-properness set, optional
     virtual-preimage overlay for one value."""
-    cx = decomposition(F.term_maps(), [MINUS_INF] * F.n, n=F.n)
+    cx = decomposition(F.term_maps(), F.n)
     overlay = []
     if y_overlay is not None:
-        oy = decomposition(F.term_maps(), list(y_overlay), n=F.n, bend_only=True)
-        overlay = [c.closure for c in oy.cells if c.dim >= 1]
+        overlay = [c.closure for c in virtual_preimage(F, y_overlay).cells
+                   if c.dim >= 1]
     if window is None:
         pts = [v for c in cx.cells for v in c.closure.vertices]
         pts += [v for p in s.polytopes for v in p.vertices]

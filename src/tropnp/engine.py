@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 from .geom import Polyhedron, frac_vec
 from .subdivision import Cell, CellComplex, decomposition
 from .faces import TupleFace, delta0, enumerate_tuple_faces
-from .tropical import MINUS_INF, TropicalMap
+from .tropical import TropicalMap
 
 
 class GenericityError(RuntimeError):
@@ -116,21 +116,11 @@ class TNPSet:
             key = piece.polyhedron.canonical_key()
             distinct.setdefault(key, (piece.polyhedron, []))[1].append(
                 (piece.face_id, piece.cell_id))
+        # distinct keys are distinct sets, so containment is strict
         entries = list(distinct.values())
-        keep = []
-        for i, (p, prov) in enumerate(entries):
-            maximal = True
-            for j, (q, _) in enumerate(entries):
-                if i == j:
-                    continue
-                if q.contains_polyhedron(p) and not p.contains_polyhedron(q):
-                    maximal = False
-                    break
-                if q.contains_polyhedron(p) and j < i:
-                    maximal = False  # equal sets: keep the first
-                    break
-            if maximal:
-                keep.append((p, tuple(sorted(prov))))
+        keep = [(p, tuple(sorted(prov))) for i, (p, prov) in enumerate(entries)
+                if not any(j != i and q.contains_polyhedron(p)
+                           for j, (q, _) in enumerate(entries))]
         keep.sort(key=lambda e: (-e[0].dim, e[0].canonical_key()))
         return tuple(keep)
 
@@ -174,7 +164,7 @@ def analyze_gamma(F: TropicalMap, face: TupleFace) -> GammaContext:
     """
     restricted = tuple({a: c for a, c in comp.terms.items() if a in argmax}
                        for comp, argmax in zip(F.components, face.argmax))
-    cx = decomposition(restricted, [MINUS_INF] * F.n, n=F.n)
+    cx = decomposition(restricted, F.n)
     return GammaContext(face, restricted, cx)
 
 
@@ -188,13 +178,13 @@ def analyze_sigma(ctx: GammaContext, cell: Cell) -> SigmaAnalysis:
     bending = frozenset(i for i, fc in enumerate(cell.profile) if fc.bends)
     contributing = all(i in bending for i in ctx.free_members)
     unrealizable = contributing and any(
-        not cell.argmax[i] for i in ctx.origin_members - bending)
+        not cell.profile[i].dual_points for i in ctx.origin_members - bending)
     return SigmaAnalysis(cell, contributing, bending, unrealizable)
 
 
 def _affine_form(ctx: GammaContext, cell: Cell, i: int):
     """The affine form of restricted component i on the cell."""
-    exp = sorted(cell.argmax[i])[0]
+    exp = cell.profile[i].dual_points[0]
     return frac_vec(exp), ctx.restricted[i][exp]
 
 

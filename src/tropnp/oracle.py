@@ -3,10 +3,12 @@
 A point y belongs to the set exactly when the intersection of the virtual
 preimages of y_1, ..., y_n contains a half-line whose direction has a
 strictly positive coordinate.  The oracle decides this from first
-principles: build the decomposition induced by the level-y corner loci,
-keep the cells on which every component bends (those are the cells inside
-the virtual preimage), and test each closure's recession cone.  It never
-consults tuple-faces or restricted maps, so it arbitrates the engine.
+principles: max(F_i, y_i) is F_i with one more term, the constant y_i at
+the origin exponent, so `virtual_preimage` decomposes R^n by the extended
+components and keeps the cells on which every one of them bends (those are
+the cells inside every virtual preimage); `in_tnp` tests each closure's
+recession cone.  It never consults tuple-faces or restricted maps, so it
+arbitrates the engine.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .geom import frac_vec, positive_coordinate_witness
-from .subdivision import decomposition
+from .subdivision import CellComplex, decomposition
 from .tropical import TropicalMap
 from .engine import TNPSet, parallel_map
 
@@ -31,13 +33,24 @@ class OracleVerdict:
         return self.member
 
 
+def virtual_preimage(F: TropicalMap, y) -> CellComplex:
+    """The cells of the common corner locus of the max(F_i, y_i): the
+    bend-only decomposition by each component's terms with the constant
+    term y_i added at the origin.  No component has a constant term of its
+    own (`TropicalPolynomial` refuses them), so the added term replaces
+    none."""
+    origin = (0,) * F.n
+    return decomposition([{**terms, origin: v}
+                          for terms, v in zip(F.term_maps(), y)],
+                         F.n, bend_only=True)
+
+
 def in_tnp(F: TropicalMap, y) -> OracleVerdict:
     """Decide membership of y, returning a witness cell and ray when inside."""
     y = [Fraction(v) for v in frac_vec(y)]
     if len(y) != F.n:
         raise ValueError("point dimension mismatch")
-    cx = decomposition(F.term_maps(), y, n=F.n, bend_only=True)
-    for cell in cx.cells:
+    for cell in virtual_preimage(F, y).cells:
         witness = positive_coordinate_witness(cell.closure)
         if witness is not None:
             return OracleVerdict(True, cell.id, tuple(witness))
@@ -80,14 +93,14 @@ def default_box(engine_set: TNPSet, pad: int = 5):
 
 
 def generic_offset(F: TropicalMap, box) -> Fraction:
-    """1/q with q prime and coprime to every coefficient and box denominator."""
-    from math import gcd
+    """1/q with q prime and above, so coprime to, every coefficient and box
+    denominator."""
     dens = {c.denominator for p in F.components for c in p.terms.values()}
     dens |= {Fraction(v).denominator for pair in box for v in pair}
     q = max(dens) + 1
     while True:
         q += 1
-        if _is_prime(q) and all(gcd(q, d) == 1 for d in dens):
+        if _is_prime(q):
             return Fraction(1, q)
 
 

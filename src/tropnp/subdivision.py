@@ -1,20 +1,23 @@
 """Cell decompositions of R^n induced by tuples of tropical polynomials.
 
-Each factor (a max-affine family, optionally extended by a virtual level as
-a pseudo-term at the origin) partitions R^n into argmax regions; the
+Each factor, a map from exponents to coefficients (max-affine: a constant
+term sits at the origin exponent), partitions R^n into argmax regions; the
 decomposition is the common refinement.  Every cell keeps its argmax
-profile, one FactorCell per factor; bending and transversality are ranks of
-its dual points.  Those points are the dual data of the inclusion-reversing
-duality with the mixed subdivision of the Minkowski sum of the extended
-Newton polytopes; only their ranks are read here.
+profile, one FactorCell per factor, holding the sorted exponents that
+attain the maximum, its dual points; bending and transversality are ranks
+of those points.  They are the dual data of the inclusion-reversing
+duality with the mixed subdivision of the Minkowski sum of the factors'
+Newton polytopes; only their ranks are read here.  The oracle's virtual
+preimage of a level y_i is the corner locus of the factor extended by the
+constant term y_i, so it is one more term and no special case here.
 
 Factor regions are enumerated through the lifted hull conv{(a, coeff_a)} in
-R^(n+1): an argmax set is the set of entries on a face exposed by some
+R^(n+1): an argmax set is the set of terms on a face exposed by some
 (x, 1), so the occurring sets are the ANDs of facet-incidence bitmasks (over
-all lifted entries) that include an upper facet, one whose normal has a
+all lifted terms) that include an upper facet, one whose normal has a
 positive last coordinate.  The refinement search prunes a partial profile
 as soon as one of its non-member inequalities is tight on the whole partial
-cell: every point below it would tie that entry and so belongs to a finer
+cell: every point below it would tie that term and so belongs to a finer
 profile.
 
 Where only the profiles are read, and no closures, `cayley_profiles` takes
@@ -31,35 +34,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import and_
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .geom import (_DD, Polyhedron, _homog_point, _incidence_masks, _ireduce,
                    mask_closure, matrix_rank, vsub)
-from .tropical import MINUS_INF, ExtRat, is_minus_inf
 
 
 @dataclass(frozen=True, slots=True)
 class FactorCell:
-    """One argmax region of a single factor: closed cell plus dual points."""
-    argmax: frozenset          # exponent tuples attaining the maximum
-    has_level: bool            # the virtual level ties the maximum
+    """One argmax region of a single factor: its dual points (the sorted
+    exponents attaining the maximum) and its closed cell."""
+    dual_points: tuple         # sorted exponent tuples attaining the maximum
     eq_h: tuple                # homogenized equality constraints
     in_h: tuple                # homogenized inequality constraints
-    dual_points: tuple         # argmax exponents, the level mapped to the origin
 
     @property
     def bends(self) -> bool:
-        return len(self.argmax) + (1 if self.has_level else 0) >= 2
-
-
-def _entries(n, terms, level):
-    entries = [(exp, Fraction(c), False) for exp, c in sorted(terms.items())]
-    if not is_minus_inf(level):
-        origin = tuple([0] * n)
-        if any(exp == origin for exp, _, _ in entries):
-            raise ValueError("virtual level clashes with an origin term")
-        entries.append((origin, Fraction(level), True))
-    return entries
+        return len(self.dual_points) >= 2
 
 
 def _cayley_faces(layers: Sequence[Sequence], lifts=None):
@@ -97,47 +88,41 @@ def _cayley_faces(layers: Sequence[Sequence], lifts=None):
 
 
 #: Several n = 3 maps' working sets (about 250 keys each); the oracle keys
-#: the cache on levels that change from point to point.
+#: the cache on term maps whose origin term, the level, changes from point
+#: to point.
 FACTOR_CELL_CACHE_SIZE = 2048
 
 
-def _build_factor_cells(n: int, terms: tuple, level) -> tuple:
-    """All argmax regions of max over terms (+ level), as FactorCells."""
-    entries = _entries(n, dict(terms), level)
-    if not entries:
-        return (FactorCell(frozenset(), False, (), (), ()),)
-    if len(entries) == 1:
-        exp, _, is_level = entries[0]
-        return (FactorCell(frozenset() if is_level else frozenset([exp]),
-                           is_level, (), (), (exp,)),)
-
-    *_, found = _cayley_faces([[exp for exp, _, _ in entries]],
-                              [[coeff for _, coeff, _ in entries]])
+def _build_factor_cells(n: int, terms: tuple) -> tuple:
+    """All argmax regions of max over the (exponent, coefficient) pairs
+    `terms`, sorted by exponent, as FactorCells."""
+    exps = tuple(exp for exp, _ in terms)
+    if len(terms) < 2:
+        return (FactorCell(exps, (), ()),)
+    coeffs = [Fraction(c) for _, c in terms]
+    *_, found = _cayley_faces([exps], [coeffs])
 
     pair_h = {}
 
     def constraint(i, j):
-        """base entry i ties or beats entry j: (c_i - c_j) + (e_i - e_j) . x >= 0."""
+        """base term i ties or beats term j: (c_i - c_j) + (e_i - e_j) . x >= 0."""
         h = pair_h.get((i, j))
         if h is None:
-            (ei, ci, _), (ej, cj, _) = entries[i], entries[j]
-            d = ci - cj
+            d = coeffs[i] - coeffs[j]
             den = d.denominator
             h = pair_h[i, j] = _ireduce(
-                (d.numerator,) + tuple(den * (a - b) for a, b in zip(ei, ej)))
+                (d.numerator,) + tuple(den * (a - b)
+                                       for a, b in zip(exps[i], exps[j])))
         return h
 
     cells = []
     for mask, _ in found:
-        members = [k for k in range(len(entries)) if mask >> k & 1]
+        members = [k for k in range(len(terms)) if mask >> k & 1]
         base = members[0]
         eq_h = tuple(constraint(base, k) for k in members[1:])
-        in_h = tuple(constraint(base, k) for k in range(len(entries))
+        in_h = tuple(constraint(base, k) for k in range(len(terms))
                      if not mask >> k & 1)
-        argmax = frozenset(entries[k][0] for k in members if not entries[k][2])
-        has_level = any(entries[k][2] for k in members)
-        dual_points = tuple(sorted(entries[k][0] for k in members))
-        cells.append(FactorCell(argmax, has_level, eq_h, in_h, dual_points))
+        cells.append(FactorCell(tuple(exps[k] for k in members), eq_h, in_h))
     cells.sort(key=lambda c: (len(c.dual_points), c.dual_points))
     return tuple(cells)
 
@@ -145,8 +130,8 @@ def _build_factor_cells(n: int, terms: tuple, level) -> tuple:
 _factor_cells = lru_cache(maxsize=FACTOR_CELL_CACHE_SIZE)(_build_factor_cells)
 
 
-def factor_cells(n: int, terms: Mapping, level: ExtRat = MINUS_INF):
-    return _factor_cells(n, tuple(sorted(terms.items())), level)
+def factor_cells(n: int, terms: Mapping):
+    return _factor_cells(n, tuple(sorted(terms.items())))
 
 
 def cayley_profiles(n: int, term_maps: Sequence[Mapping]) -> list:
@@ -188,14 +173,13 @@ class Cell:
     """A (relatively open) cell, stored by its closure, with its argmax
     profile: one FactorCell per factor."""
 
-    __slots__ = ("id", "closure", "dim", "profile", "argmax")
+    __slots__ = ("id", "closure", "dim", "profile")
 
     def __init__(self, cid, closure, profile):
         self.id = cid
         self.closure = closure
         self.dim = closure.dim
         self.profile = profile
-        self.argmax = tuple(fc.argmax for fc in profile)
 
     def is_transversal(self):
         """dim dual == sum of the summand dims, read off the ranks of the
@@ -208,8 +192,9 @@ class Cell:
 
 class CellComplex:
     """A polyhedral cell decomposition of R^n.  From `decomposition` with
-    `bend_only` it holds only the cells on which every factor bends (the
-    virtual preimage of the level vector), not a full partition."""
+    `bend_only` it holds only the cells on which every factor bends (for
+    term maps extended by levels at the origin, the virtual preimage of the
+    level vector), not a full partition."""
 
     def __init__(self, n, cells):
         self.n = n
@@ -227,25 +212,18 @@ class CellComplex:
         return (not offenders, offenders)
 
 
-def decomposition(term_maps: Sequence[Mapping], levels: Optional[Sequence[ExtRat]] = None,
-                  n: Optional[int] = None, *, bend_only: bool = False) -> CellComplex:
+def decomposition(term_maps: Sequence[Mapping], n: int, *,
+                  bend_only: bool = False) -> CellComplex:
     """Common refinement of the argmax-region decompositions of the factors.
 
     term_maps: one mapping exponent -> coefficient per factor (may be empty).
-    levels: per-factor virtual level; all -inf gives the plain corner-locus
-    decomposition.  Every nonempty profile intersection is kept once, keyed
-    by the exact per-factor argmax sets on its relative interior.
+    Every nonempty profile intersection is kept once, keyed by the exact
+    per-factor argmax sets on its relative interior; with `bend_only`, only
+    the cells on which every factor bends.
     """
-    if n is None:
-        n = next(len(e) for tm in term_maps for e in tm)
-    if levels is None:
-        levels = [MINUS_INF] * len(term_maps)
-    if len(levels) != len(term_maps):
-        raise ValueError("levels length must match the number of factors")
-
     factor_lists = []
-    for terms, level in zip(term_maps, levels):
-        cells = factor_cells(n, terms, level)
+    for terms in term_maps:
+        cells = factor_cells(n, terms)
         if bend_only:
             cells = tuple(c for c in cells if c.bends)
         factor_lists.append(cells)

@@ -4,8 +4,9 @@ A tropical polynomial is x |-> max_a (<x, a> + coeff_a) over a finite set of
 nonnegative integer exponent vectors a, with rational coefficients.  The
 coefficients play the role of valuations of classical coefficients; the thin
 series parser below converts a leading-order term "c*t^r" to the valuation
--r.  Values are extended by a minus-infinity bottom element for the virtual
-levels used throughout the engine.
+-r.  A virtual level y_i, as in max(f_i, y_i), is the constant term y_i at
+the origin exponent, which only the oracle adds (`oracle.virtual_preimage`);
+a tropical polynomial here never has one of its own.
 """
 
 from __future__ import annotations
@@ -17,14 +18,8 @@ from typing import Mapping, Sequence, Union
 from .geom import frac_vec, vdot
 
 #: Bottom element of the max-plus semifield.  float("-inf") compares
-#: correctly against every Fraction, which is all the engine needs.
+#: correctly against every Fraction.
 MINUS_INF = float("-inf")
-
-ExtRat = Union[Fraction, float]
-
-
-def is_minus_inf(v) -> bool:
-    return v == MINUS_INF
 
 
 class SupportError(ValueError):
@@ -34,10 +29,10 @@ class SupportError(ValueError):
 class TropicalPolynomial:
     """An immutable max-plus polynomial with origin-free integer support.
 
-    Supports containing the origin are rejected: a constant tropical term
-    would collide with the virtual-level pseudo-term the engine adjoins at
-    the origin, and the face machinery relies on the origin entering each
-    extended Newton polytope only through that construction.
+    Supports containing the origin are rejected: a virtual level is the
+    constant term at the origin that the oracle adds, which would overwrite
+    a constant term of the polynomial's own, and the extended Newton
+    polytopes of `faces` adjoin the origin to supports that avoid it.
     """
 
     __slots__ = ("n", "terms")

@@ -10,8 +10,7 @@ from tropnp.engine import analyze_gamma
 from tropnp.geom import (_DD, GeometryError, Polyhedron, convex_hull, frac_vec,
                          primitive, vdot, vsub)
 from tropnp.subdivision import decomposition
-from tropnp.tropical import (MINUS_INF, TropicalMap, TropicalPolynomial,
-                             is_minus_inf)
+from tropnp.tropical import TropicalMap, TropicalPolynomial
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -44,7 +43,7 @@ def reference_transversality_report(F, faces):
     decomposition and of the restricted decomposition of every tuple-face,
     each one built and checked."""
     offenders = []
-    cx = decomposition(F.term_maps(), [MINUS_INF] * F.n, n=F.n)
+    cx = decomposition(F.term_maps(), F.n)
     ok, bad = cx.is_transversal()
     if not ok:
         offenders.append({"face": None, "cells": bad})
@@ -246,33 +245,35 @@ def union_equal(pieces_a, pieces_b):
 
 def corner_locus_pieces(terms, n):
     """The corner locus of one tropical polynomial as closed cells."""
-    return [c.closure for c in decomposition([terms], [MINUS_INF], n=n).cells
-            if len(c.argmax[0]) >= 2]
+    return [c.closure for c in decomposition([terms], n).cells
+            if len(c.profile[0].dual_points) >= 2]
 
 
-def argmax_at(terms, level, x):
-    """(argmax exponent set, level ties) of max(terms, level) at x."""
-    best = None if is_minus_inf(level) else Fraction(level)
-    argmax = set()
-    has_level = best is not None
+def with_level(terms, level):
+    """The terms of max(f, y) for f's terms: the constant term y at the
+    origin exponent added."""
+    return {**terms, (0,) * len(next(iter(terms))): Fraction(level)}
+
+
+def argmax_at(terms, x):
+    """The sorted exponents attaining max over terms at x."""
+    best, argmax = None, []
     for exp, coeff in terms.items():
         v = vdot(x, exp) + coeff
         if best is None or v > best:
-            best, argmax, has_level = v, {exp}, False
+            best, argmax = v, [exp]
         elif v == best:
-            argmax.add(exp)
-    return frozenset(argmax), has_level
+            argmax.append(exp)
+    return tuple(sorted(argmax))
 
 
-def cell_containing(cx, term_maps, levels, x):
+def cell_containing(cx, term_maps, x):
     """The unique cell of a full complex whose relative interior holds x."""
     x = frac_vec(x)
     for cell in cx.cells:
         if cell.closure.contains(x) and all(
-                argmax_at(terms, level, x) == (S, has)
-                for terms, level, S, has in zip(
-                    term_maps, levels, cell.argmax,
-                    [fc.has_level for fc in cell.profile])):
+                argmax_at(terms, x) == fc.dual_points
+                for terms, fc in zip(term_maps, cell.profile)):
             return cell
     return None
 
@@ -306,16 +307,14 @@ def summand_ranks(cell):
                  for fc in cell.profile)
 
 
-def sum_polytope(n, term_maps, levels):
-    """Minkowski sum of the factors' extended Newton polytopes."""
-    origin = (0,) * n
-    return minkowski_sum_of(
-        [convex_hull(list(terms) if terms and is_minus_inf(level)
-                     else [*terms, origin])
-         for terms, level in zip(term_maps, levels)])
+def sum_polytope(n, term_maps):
+    """Minkowski sum of the factors' Newton polytopes (the origin for a
+    factor without terms)."""
+    return minkowski_sum_of([convex_hull(list(terms) or [(0,) * n])
+                             for terms in term_maps])
 
 
-def duality_violations(cx, term_maps, levels):
+def duality_violations(cx, term_maps):
     """Violations of the cell/dual-polytope duality on a complex.
 
     Checks, cell by cell: the dual (the Minkowski sum of the summands' hulls)
@@ -325,7 +324,7 @@ def duality_violations(cx, term_maps, levels):
     polytope exactly when the cell recedes along that facet's outward normal.
     """
     problems = []
-    sum_poly = sum_polytope(cx.n, term_maps, levels)
+    sum_poly = sum_polytope(cx.n, term_maps)
     ineqs, _ = sum_poly.hrep()
     facets = [(normal, face_in_direction(sum_poly, normal))
               for normal, _ in ineqs]
@@ -365,38 +364,28 @@ def _direction_span(p):
 # the oracle's witnesses, re-checked against the definition
 # ---------------------------------------------------------------------------
 
-def in_virtual_preimage(p, level, x):
-    """Membership of x in the corner locus of max(p, level).
-
-    The level counts as one extra candidate at the origin exponent; with
-    level = -inf this is plain corner-locus membership.
-    """
-    value, argmax = p.eval_with_argmax(x)
-    if is_minus_inf(level):
-        return len(argmax) >= 2
-    level = Fraction(level)
-    if level > value:
-        return False
-    if level == value:
-        return True
-    return len(argmax) >= 2
+def in_virtual_preimage(terms, x):
+    """Membership of x in the corner locus of max over terms; for terms
+    extended by a level at the origin, in that level's virtual preimage."""
+    return len(argmax_at(terms, frac_vec(x))) >= 2
 
 
 def verify_witness(F, y, verdict, steps=3):
     """Re-check a positive oracle verdict directly against the definition:
     walk a few points along the witness half-line and confirm each lies in
-    every virtual preimage."""
+    every virtual preimage, the corner locus of the component extended by
+    its level."""
     if not verdict.member:
         return False
-    y = frac_vec(y)
-    cx = decomposition(F.term_maps(), list(y), n=F.n, bend_only=True)
+    extended = [with_level(terms, level)
+                for terms, level in zip(F.term_maps(), frac_vec(y))]
+    cx = decomposition(extended, F.n, bend_only=True)
     cell = cx.cells[verdict.cell_id]
     base = cell.closure.relative_interior_point()
     ray = frac_vec(verdict.ray)
     for t in range(steps):
         x = tuple(b + t * r for b, r in zip(base, ray))
-        if not all(in_virtual_preimage(comp, level, x)
-                   for comp, level in zip(F.components, y)):
+        if not all(in_virtual_preimage(terms, x) for terms in extended):
             return False
     return any(r > 0 for r in ray)
 
@@ -406,7 +395,7 @@ def verify_witness(F, y, verdict, steps=3):
 # ---------------------------------------------------------------------------
 
 def _reference_affine_form(ctx, cell, i):
-    exp = sorted(cell.argmax[i])[0]
+    exp = cell.profile[i].dual_points[0]
     return frac_vec(exp), ctx.restricted[i][exp]
 
 

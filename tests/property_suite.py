@@ -33,11 +33,11 @@ from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.oracle import grid_compare, in_tnp
 from tropnp.subdivision import cayley_profiles, decomposition
 from tropnp.subdivision import transversal as subdivision_transversal
-from tropnp.tropical import MINUS_INF, TropicalMap, TropicalPolynomial
+from tropnp.tropical import TropicalMap, TropicalPolynomial
 
 from conftest import (argmax_at, canonical_key_from, cell_dual, cell_summands,
                       duality_violations, equal_as_sets, minkowski_sum_of,
-                      rank, strict_witness, summand_ranks, vscale)
+                      rank, strict_witness, summand_ranks, vscale, with_level)
 
 F = Fraction
 
@@ -140,15 +140,14 @@ def _check_rank_dims(cx):
         assert c.is_transversal() == (cell_dual(c).dim == sum(hull_dims)), c
 
 
-def _check_profiles(cx, term_maps, levels):
+def _check_profiles(cx, term_maps):
     """Each cell's stored profile is the argmax profile at a relative-interior
     point of its closure: the leaf test that the decomposition search
     replaces by pruning on tight inequalities."""
     for c in cx.cells:
         p = c.closure.relative_interior_point()
-        for terms, level, fc in zip(term_maps, levels, c.profile):
-            assert argmax_at(terms, level, p) == (fc.argmax, fc.has_level), \
-                (c, fc)
+        for terms, fc in zip(term_maps, c.profile):
+            assert argmax_at(terms, p) == fc.dual_points, (c, fc)
 
 
 def _check_closures(cx):
@@ -171,12 +170,11 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     report = MapReport(index)
     n = m.n
 
-    no_levels = [MINUS_INF] * n
-    xi = decomposition(m.term_maps(), no_levels, n=n)
-    if duality_violations(xi, m.term_maps(), no_levels):
+    xi = decomposition(m.term_maps(), n)
+    if duality_violations(xi, m.term_maps()):
         report.duality_ok = False
     _check_rank_dims(xi)
-    _check_profiles(xi, m.term_maps(), no_levels)
+    _check_profiles(xi, m.term_maps())
     _check_closures(xi)
     full_transversal = transversal = xi.is_transversal()[0]
     xi_duals = [cell_dual(c) for c in xi.cells]
@@ -190,10 +188,10 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     product_pieces, staircase_pieces = [], []
     diff_probes = []
     for face, ctx in zip(faces, contexts):
-        if duality_violations(ctx.complex, ctx.restricted, no_levels):
+        if duality_violations(ctx.complex, ctx.restricted):
             report.duality_ok = False
         _check_rank_dims(ctx.complex)
-        _check_profiles(ctx.complex, ctx.restricted, no_levels)
+        _check_profiles(ctx.complex, ctx.restricted)
         _check_closures(ctx.complex)
         if not ctx.complex.is_transversal()[0]:
             transversal = False
@@ -239,11 +237,14 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
 
     product_set = TNPSet(n, product_pieces, "product")
     staircase_set = TNPSet(n, staircase_pieces, "staircase")
-    # the oracle's complexes: the virtual preimages of points of the set
+    # the oracle's complexes: the virtual preimages of points of the set,
+    # the components extended by the levels y_i as terms at the origin
     for piece in staircase_set.polytopes:
         y = piece.relative_interior_point()
-        bend = decomposition(m.term_maps(), list(y), n=n, bend_only=True)
-        _check_profiles(bend, m.term_maps(), y)
+        extended = [with_level(terms, level)
+                    for terms, level in zip(m.term_maps(), y)]
+        bend = decomposition(extended, n, bend_only=True)
+        _check_profiles(bend, extended)
         _check_closures(bend)
     for face_id, cell_id, probe in diff_probes:
         verdict = in_tnp(m, probe)

@@ -240,15 +240,40 @@ def test_malformed_piece_is_refused(tmp_path, capsys, key, value, reader):
     {"exp": [1, 0], "series": ""},
     {"exp": [1, 0], "series": "  "},
     {"exp": [1, 0], "val": "1", "series": "t"},
-], ids=["empty-series", "blank-series", "val-and-series"])
+    {"exp": [1, 0]},
+], ids=["empty-series", "blank-series", "val-and-series", "no-value"])
 def test_term_grammar_is_refused(tmp_path, capsys, term):
-    # an empty series has no valuation, and a term gives one value only
+    # an empty series has no valuation, and a term gives one value, no
+    # fewer and no more
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"n": 2, "maps": [[GOOD_TERM], [term]]}))
     code, out, err = run(capsys, "compute", "--input", str(path))
     assert code == 1 and not out
     assert err.startswith(f"error: {path}: component 1: ") \
         and err.count("\n") == 1, err
+
+
+#: five components x_i + max(0, 1 + x_(i+1) - x_i), cyclically: above the
+#: default dimension cap, and with an empty non-properness set
+FIVE_CYCLE_MAP = {"n": 5, "maps": [
+    [{"exp": [int(j == i) for j in range(5)], "val": "0"},
+     {"exp": [int(j == (i + 1) % 5) for j in range(5)], "val": "1"}]
+    for i in range(5)]}
+
+
+@pytest.mark.parametrize("argv, code, check", [
+    (("newton",), 1, lambda out, err: err == "error: empty set: there is no "
+                                             "polytope to recover\n"),
+    (("oracle", "--grid", "--res", "1"), 0,
+     lambda out, err: json.loads(out)["grid"]["points"] == 1),
+], ids=["newton", "oracle-grid"])
+def test_dim_cap_reaches_the_engine(tmp_path, capsys, argv, code, check):
+    # the engine's tuple-faces obey --dim-cap, and not the default cap 4
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(FIVE_CYCLE_MAP))
+    got, out, err = run(capsys, *argv, "--input", str(path), "--dim-cap", "5")
+    assert got == code and check(out, err), (got, out, err)
+    assert run(capsys, *argv, "--input", str(path))[0] == 3
 
 
 class TestComputeCommand:
@@ -546,6 +571,17 @@ class TestPlotCommand:
         code, _, _ = run(capsys, "plot", "--input", fixture_path("map3d.json"),
                          "--svg", "/tmp/never.svg")
         assert code == 4
+
+    def test_far_window_clips_rays_exactly(self, tmp_path, capsys):
+        # the piece (4, 0) + R>=0 (1, 1) crosses the window from (104, 100)
+        # to (110, 106), far beyond its vertex
+        svg = tmp_path / "w.svg"
+        code, _, _ = run(capsys, "plot", "--input", fixture_path("map2d.json"),
+                         "--svg", str(svg), "--window=100,110;100,110")
+        assert code == 0
+        lines = [t for t in svg.read_text().splitlines() if 'class="tnp"' in t]
+        assert len(lines) == 1
+        assert 'x1="256.000" y1="640.000" x2="640.000" y2="256.000"' in lines[0]
 
     def test_overlay_point(self, tmp_path, capsys):
         svg = tmp_path / "o.svg"

@@ -10,7 +10,7 @@ from tropnp.engine import (GenericityError, analyze_gamma, analyze_sigma,
 from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.geom import Polyhedron
 from tropnp.subdivision import decomposition
-from tropnp.tropical import MINUS_INF, TropicalMap, TropicalPolynomial
+from tropnp.tropical import TropicalMap, TropicalPolynomial
 
 from conftest import (cell_dual, corner_locus_pieces, covered_by_union,
                       equal_as_sets, fixture_path, minkowski_sum_of,
@@ -59,7 +59,7 @@ class TestAnalyzeGamma:
         ctx = analyze_gamma(map2d, face)
         assert len(ctx.restricted[0]) == 1  # vertex member keeps one term
         cells = list(ctx.complex)
-        assert all(len(c.argmax[0]) == 1 for c in cells)
+        assert all(len(c.profile[0].dual_points) == 1 for c in cells)
 
 
 class TestAnalyzeSigma:
@@ -321,7 +321,8 @@ class TestOneAssembly:
                         assert got.hrep() == want.hrep()
                         compared += 1
                     unbounded += any(
-                        cell.closure.support_value(sorted(cell.argmax[i])[0])
+                        cell.closure.support_value(
+                            cell.profile[i].dual_points[0])
                         is None for i in ctx.origin_members & a.bending)
         assert compared > 100
         # the product form's free line, where a supremum is unbounded
@@ -333,7 +334,7 @@ class TestBijection:
         # the count identity needs every member face to meet the support
         # (a face collapsing to the origin vertex restricts to no polynomial
         # at all, and its cells have nowhere to embed)
-        xi = decomposition(map2d.term_maps(), [MINUS_INF, MINUS_INF], n=2)
+        xi = decomposition(map2d.term_maps(), 2)
         checked = 0
         for face in enumerate_tuple_faces(delta0(map2d)):
             ctx = analyze_gamma(map2d, face)

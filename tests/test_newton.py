@@ -5,9 +5,8 @@ import pytest
 
 from tropnp.engine import TNPPiece, TNPSet, tnp_set
 from tropnp.geom import Polyhedron, convex_hull, primitive
-from tropnp.newton import FanError, _arrangement, recover_fan
+from tropnp.newton import FanError, _arrangement, _orth_project, recover_fan
 from tropnp.subdivision import decomposition
-from tropnp.tropical import MINUS_INF
 
 from conftest import (corner_locus_pieces, normal_cone_of_face,
                       reference_arrangement)
@@ -36,6 +35,28 @@ def normal_fan_keys(points):
     if whole.dim > 0:
         keys.add(whole.canonical_key())
     return keys
+
+
+#: Both tests wait for ROADMAP item 2: the exact projection changes the
+#: fan digest of a compute-3d benchmark reference, so the fix goes with the
+#: benchmark's re-recorded references (ROADMAP item 1).
+ORTH_PROJECT_XFAIL = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 2: _orth_project projects one "
+    "non-orthogonal basis vector at a time; the fix waits for the benchmark "
+    "references to be re-recorded")
+
+
+@ORTH_PROJECT_XFAIL
+def test_orth_project_is_orthogonal_to_the_whole_lineality():
+    assert _orth_project((1, 0, 0), [(1, -1, 0), (1, 0, -1)]) == (1, 1, 1)
+
+
+@ORTH_PROJECT_XFAIL
+def test_plane_facet_normals_are_orthogonal_to_it():
+    # the plane x + y + z = 0, the corner locus of max(0, x + y + z)
+    plane = Polyhedron.from_hrep(3, [], [((1, 1, 1), 0)])
+    fan = recover_fan(TNPSet(3, [TNPPiece(plane, 0, 0)], "product"))
+    assert set(fan.facet_normals) == {(1, 1, 1), (-1, -1, -1)}
 
 
 class TestKnownFan:
@@ -131,10 +152,10 @@ class TestAgainstIndependentNormalFan:
 
 def _active_support(terms, n):
     """Support points that attain the maximum somewhere."""
-    cx = decomposition([terms], [MINUS_INF], n=n)
+    cx = decomposition([terms], n)
     active = set()
     for c in cx.cells:
-        active |= set(c.argmax[0])
+        active |= set(c.profile[0].dual_points)
     return active
 
 

@@ -7,11 +7,11 @@ from tropnp.cli import load_input
 from tropnp.geom import Polyhedron, _homog_ineq, convex_hull, vdot, vsub
 from tropnp.subdivision import (FactorCell, _refine, cayley_profiles,
                                 decomposition, factor_cells, transversal)
-from tropnp.tropical import MINUS_INF, is_minus_inf
 
 from conftest import (argmax_at, cell_containing, cell_dual,
                       corner_locus_pieces, covered_by_union, duality_violations,
-                      equal_as_sets, fixture_path, summand_ranks, sum_polytope)
+                      equal_as_sets, fixture_path, summand_ranks, sum_polytope,
+                      with_level)
 from property_suite import random_map
 
 F = Fraction
@@ -19,7 +19,7 @@ F = Fraction
 
 class TestSingleVariableToy:
     def test_three_cells_with_duals(self):
-        cx = decomposition([{(1,): F(0)}], [F(0)], n=1)
+        cx = decomposition([with_level({(1,): F(0)}, 0)], 1)
         assert len(cx.cells) == 3
         duals = sorted(tuple(sorted(cell_dual(c).vertices)) for c in cx.cells)
         assert duals == [(((F(0),)),), ((F(0),), (F(1),)), ((F(1),),)]
@@ -33,17 +33,25 @@ LEVELS = [F(-2), F(-1)]
 
 
 @pytest.fixture(scope="module")
-def cx(map2d_small):
-    return decomposition(map2d_small.term_maps(), LEVELS, n=2)
+def extended(map2d_small):
+    """The term maps of max(f_i, y_i), y = LEVELS."""
+    return [with_level(terms, y)
+            for terms, y in zip(map2d_small.term_maps(), LEVELS)]
+
+
+@pytest.fixture(scope="module")
+def cx(extended):
+    return decomposition(extended, 2)
 
 
 @pytest.fixture(scope="module")
 def xi(map2d):
-    return decomposition(map2d.term_maps(), [MINUS_INF, MINUS_INF], n=2)
+    return decomposition(map2d.term_maps(), 2)
 
 
 class TestVirtualLevelComplex:
-    """Decomposition induced by two virtual preimages, levels (-2, -1)."""
+    """Decomposition induced by two virtual preimages, levels (-2, -1): the
+    components extended by the levels as terms at the origin."""
 
     def test_counts_by_dimension(self, cx):
         # two trees of corner loci crossing twice: 6 vertices, 14 edges,
@@ -53,23 +61,23 @@ class TestVirtualLevelComplex:
             counts[c.dim] = counts.get(c.dim, 0) + 1
         assert counts == {0: 6, 1: 14, 2: 9}
 
-    def test_transversal_crossing_cell(self, cx, map2d_small):
-        cell = cell_containing(cx, map2d_small.term_maps(), LEVELS,
-                               (F(-7, 3), F(2, 3)))
+    def test_transversal_crossing_cell(self, cx, extended):
+        cell = cell_containing(cx, extended, (F(-7, 3), F(2, 3)))
         assert cell is not None
         assert cell.dim == 0
         assert cell_dual(cell).dim == 2
         assert summand_ranks(cell) == (1, 1)
-        assert tuple(fc.has_level for fc in cell.profile) == (True, True)
+        # both levels tie the maximum
+        assert all((0, 0) in fc.dual_points for fc in cell.profile)
 
-    def test_duality_invariants(self, cx, map2d_small):
-        assert duality_violations(cx, map2d_small.term_maps(), LEVELS) == []
+    def test_duality_invariants(self, cx, extended):
+        assert duality_violations(cx, extended) == []
 
     def test_transversal(self, cx):
         ok, offenders = cx.is_transversal()
         assert ok and offenders == []
 
-    def test_partition_of_sampled_points(self, cx, map2d_small):
+    def test_partition_of_sampled_points(self, cx, extended):
         rng = random.Random(77)
         for _ in range(1000):
             x = (F(rng.randint(-120, 120), 7), F(rng.randint(-120, 120), 11))
@@ -77,16 +85,14 @@ class TestVirtualLevelComplex:
             for cell in cx.cells:
                 if not cell.closure.contains(x):
                     continue
-                match = all(
-                    argmax_at(t, lvl, x) == (fc.argmax, fc.has_level)
-                    for t, lvl, fc in zip(map2d_small.term_maps(), LEVELS,
-                                          cell.profile))
+                match = all(argmax_at(t, x) == fc.dual_points
+                            for t, fc in zip(extended, cell.profile))
                 if match:
                     hits.append(cell.id)
             assert len(hits) == 1
 
     def test_refines_the_level_free_complex(self, cx, map2d_small):
-        base = decomposition(map2d_small.term_maps(), [MINUS_INF, MINUS_INF], n=2)
+        base = decomposition(map2d_small.term_maps(), 2)
         for cell in cx.cells:
             p = cell.closure.relative_interior_point()
             hosts = [c for c in base.cells if c.closure.contains(p)]
@@ -98,8 +104,7 @@ class TestPlaneCurvePairComplex:
         assert xi.is_transversal() == (True, [])
 
     def test_duality_invariants(self, xi, map2d):
-        assert duality_violations(xi, map2d.term_maps(),
-                                  [MINUS_INF, MINUS_INF]) == []
+        assert duality_violations(xi, map2d.term_maps()) == []
 
     def test_unbounded_parallel_tail_cells(self, xi):
         # the two corner loci both contain a line of direction (1,-2); the
@@ -132,13 +137,13 @@ class TestPlaneCurvePairComplex:
 class TestTransversality:
     def test_identical_curves_are_not_transversal(self):
         terms = {(1, 0): F(0), (0, 1): F(0), (1, 1): F(2)}
-        cx = decomposition([terms, dict(terms)], [MINUS_INF, MINUS_INF], n=2)
+        cx = decomposition([terms, dict(terms)], 2)
         ok, offenders = cx.is_transversal()
         assert not ok
         assert offenders
 
     def test_single_polynomial_always_transversal(self, map2d):
-        cx = decomposition([map2d[0].terms], [MINUS_INF], n=2)
+        cx = decomposition([map2d[0].terms], 2)
         assert cx.is_transversal() == (True, [])
 
 
@@ -146,12 +151,12 @@ def regular_subdivision(support, lift):
     """The cells of the regular subdivision of conv(support) by `lift`, as
     the dual polytopes of the decomposition by max(lift(a) + a . x), with
     the maximal ones: the projections of the upper faces of the lifted hull.
-    The origin is allowed here, as no virtual level is involved."""
+    The origin is a term like any other here."""
     terms = {p: F(lift[p]) for p in support}
     n = len(support[0])
-    cx = decomposition([terms], [MINUS_INF], n=n)
+    cx = decomposition([terms], n)
     duals = [cell_dual(c) for c in cx.cells]
-    top = sum_polytope(n, [terms], [MINUS_INF]).dim
+    top = sum_polytope(n, [terms]).dim
     return duals, [d for d in duals if d.dim == top]
 
 
@@ -195,7 +200,7 @@ class TestFactorCells:
     def test_empty_factor_is_trivial(self):
         cells = factor_cells(2, {})
         assert len(cells) == 1
-        assert cells[0].argmax == frozenset()
+        assert cells[0].dual_points == ()
 
     def test_corner_locus_pieces_of_a_line(self):
         pieces = corner_locus_pieces({(1, 0): F(0), (0, 1): F(0)}, 2)
@@ -204,14 +209,12 @@ class TestFactorCells:
         assert pieces[0].contains((3, 3)) and not pieces[0].contains((1, 2))
 
 
-def _face_lattice_factor_cells(n, terms, level):
-    """Reference construction of the factor cells (at least two entries):
+def _face_lattice_factor_cells(n, terms):
+    """Reference construction of the factor cells (at least two terms):
     the face lattice of the lifted hull, keeping each face exposed by some
     (x, 1), with Fraction-built constraints."""
-    entries = [(exp, F(c), False) for exp, c in sorted(terms.items())]
-    if not is_minus_inf(level):
-        entries.append(((0,) * n, F(level), True))
-    lifted = [exp + (c,) for exp, c, _ in entries]
+    entries = [(exp, F(c)) for exp, c in sorted(terms.items())]
+    lifted = [exp + (c,) for exp, c in entries]
     hull = Polyhedron.from_generators(n + 1, lifted)
     ineqs, eqs = hull.hrep()
     eq_has_last = any(a[-1] != 0 for a, _ in eqs)
@@ -221,16 +224,15 @@ def _face_lattice_factor_cells(n, terms, level):
             continue
         members = [k for k, p in enumerate(lifted)
                    if all(vdot(ineqs[i][0], p) == ineqs[i][1] for i in active)]
-        base_exp, base_coeff, _ = entries[members[0]]
+        base_exp, base_coeff = entries[members[0]]
         eq_h, in_h = [], []
-        for k, (exp, coeff, _) in enumerate(entries):
+        for k, (exp, coeff) in enumerate(entries):
             if k != members[0]:
                 h = _homog_ineq(vsub(exp, base_exp), base_coeff - coeff)
                 (eq_h if k in members else in_h).append(h)
         cells[frozenset(members)] = FactorCell(
-            frozenset(entries[k][0] for k in members if not entries[k][2]),
-            any(entries[k][2] for k in members), tuple(eq_h), tuple(in_h),
-            tuple(sorted(entries[k][0] for k in members)))
+            tuple(sorted(entries[k][0] for k in members)),
+            tuple(eq_h), tuple(in_h))
     return sorted(cells.values(),
                   key=lambda c: (len(c.dual_points), c.dual_points))
 
@@ -248,12 +250,13 @@ def test_factor_cells_match_the_face_lattice_construction():
                 exps.add(e)
         terms = {e: F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
                  for e in exps}
-        level = MINUS_INF if affine or rng.random() < 0.4 \
-            else F(rng.randint(-9, 9), rng.choice([1, 2]))
-        if len(terms) + (not is_minus_inf(level)) < 2:
+        if not (affine or rng.random() < 0.4):
+            # a virtual level: the constant term at the origin
+            terms[(0,) * n] = F(rng.randint(-9, 9), rng.choice([1, 2]))
+        if len(terms) < 2:
             continue
-        assert list(factor_cells(n, terms, level)) \
-            == _face_lattice_factor_cells(n, terms, level), (n, terms, level)
+        assert list(factor_cells(n, terms)) \
+            == _face_lattice_factor_cells(n, terms), (n, terms)
         checked += 1
 
 

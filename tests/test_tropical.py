@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from tropnp.engine import analyze_gamma
 from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.geom import convex_hull
-from tropnp.tropical import (MINUS_INF, SupportError, TropicalMap,
-                             TropicalPolynomial, valuation_of_series)
+from tropnp.tropical import (SupportError, TropicalMap, TropicalPolynomial,
+                             valuation_of_series)
 
-from conftest import equal_as_sets, in_virtual_preimage, restrict
+from conftest import equal_as_sets, in_virtual_preimage, restrict, with_level
 
 F = Fraction
 
@@ -60,24 +60,28 @@ class TestCornerLocus:
 
 
 class TestVirtualPreimage:
+    """The virtual preimage of a level y is the corner locus of the terms
+    extended by the constant term y at the origin."""
+
     def test_minus_inf_reduces_to_corner_locus(self, map2d):
+        # a level of minus infinity adds no term
         rng = random.Random(5)
         for p in map2d:
             for _ in range(30):
                 x = (F(rng.randint(-8, 8)), F(rng.randint(-8, 8)))
-                assert (in_virtual_preimage(p, MINUS_INF, x)
+                assert (in_virtual_preimage(p.terms, x)
                         == in_corner_locus(p, x))
 
     def test_level_ties_the_max(self, map2d):
-        assert in_virtual_preimage(map2d[1], F(0), (0, 0))
+        assert in_virtual_preimage(with_level(map2d[1].terms, 0), (0, 0))
 
     def test_dominating_level_excludes(self, map2d):
-        assert not in_virtual_preimage(map2d[1], F(5), (0, 0))
+        assert not in_virtual_preimage(with_level(map2d[1].terms, 5), (0, 0))
 
     def test_level_below_max_needs_a_bend(self, map2d):
         # at (0,0) the second component has a unique argmax and value 0
-        assert not in_virtual_preimage(map2d[1], F(-1), (0, 0))
-        assert in_virtual_preimage(map2d[0], F(-1), (0, 0))
+        assert not in_virtual_preimage(with_level(map2d[1].terms, -1), (0, 0))
+        assert in_virtual_preimage(with_level(map2d[0].terms, -1), (0, 0))
 
 
 class TestRestrict:
