@@ -211,7 +211,8 @@ def tnp_json(s) -> dict:
         entry["id"] = pid
         entry["provenance"] = [{"face": g, "cell": c} for g, c in prov]
         pieces.append(entry)
-    return {"assembly": s.assembly, "pieces": pieces}
+    # the engine has one assembly; documents keep naming it
+    return {"assembly": "staircase", "pieces": pieces}
 
 
 def fan_json(fan) -> dict:
@@ -386,7 +387,7 @@ def cmd_compute(args) -> int:
         for o in offenders:
             print(f"  face={o['face']} cells={o['cells']}", file=sys.stderr)
         return EXIT_GENERICITY
-    s = tnp_set(F, staircase=not args.product, faces=faces)
+    s = tnp_set(F, faces=faces)
     doc = {
         "schema": SCHEMA,
         "n": F.n,
@@ -440,8 +441,7 @@ def cmd_oracle(args) -> int:
 
 def _document_set(parsed) -> TNPSet:
     """The set written in a parsed compute output."""
-    return TNPSet.from_canonical(parsed["n"], parsed["tnp_pieces"],
-                                 parsed["tnp"].get("assembly"))
+    return TNPSet.from_canonical(parsed["n"], parsed["tnp_pieces"])
 
 
 def _parse_point(text: str, n: int):
@@ -634,12 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="compute the non-properness set")
     common(p)
-    variants = p.add_mutually_exclusive_group()
-    variants.add_argument("--staircase", action="store_true",
-                          help="coupled staircase assembly (the default)")
-    variants.add_argument("--product", action="store_true",
-                          help="per-coordinate product closure, for "
-                               "cross-checking; may exceed the true set")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("oracle", help="definition-level membership checks")

@@ -5,29 +5,17 @@ decompose R^n by the restricted corner loci, and read one output polytope
 off each contributing cell; no other tuple-face is restricted or
 decomposed.  A cell contributes when it lies inside every corner locus
 whose member face misses the origin, which its argmax profile tells
-(`analyze_sigma`); its contribution is assembled coordinate-wise:
+(`analyze_sigma`); its contribution couples all coordinates through a
+common preimage point of the cell closure C (`_assemble`):
 
-* coordinates whose member face contains the origin and whose dual summand
-  is a point: the affine image of the cell under those components,
-* coordinates whose member face contains the origin and whose dual summand
-  has positive dimension: an upper bound by the maximum of the component
-  over the cell closure,
+* coordinates whose member face contains the origin: the affine image of C
+  under those components, lowered by cone{-e_i} on the bending ones,
 * the remaining coordinates: free.
 
-Both assemblies are one affine image of the cell closure's generators,
-widened by rays and lines before a single dual description (`_assemble`):
-an affine image of a polyhedron is the image of its generators.  The
-"staircase" form keeps all coordinates coupled through a common preimage
-point; the "product" form bounds each bending coordinate independently by
-its supremum over the cell (`support_value`), which frees the coordinate
-where the supremum is unbounded.
-The staircase set is contained in the product set, and the two differ
-exactly when the per-coordinate suprema are not attained at a single point
-of the cell.  The coupled form is the default: it is the closure of
-the honest virtual image, and the membership oracle confirms it on inputs
-where the product form provably overshoots (which happens from dimension
-three on, even on transversal inputs).  The probe suite classifies every
-difference between the two against the oracle.
+This is the closure of the virtual image over the cell, one affine image
+of C's generators widened by rays and lines before a single dual
+description: an affine image of a polyhedron is the image of its
+generators.
 """
 
 from __future__ import annotations
@@ -93,19 +81,18 @@ class TNPPiece:
 class TNPSet:
     """The tropical non-properness set as a canonical union of polytopes."""
 
-    def __init__(self, n: int, pieces: Sequence[TNPPiece], assembly: str):
+    def __init__(self, n: int, pieces: Sequence[TNPPiece]):
         self.n = n
         self.pieces = tuple(pieces)
-        self.assembly = assembly
         self.canonical = self._canonical_union(pieces)
 
     @classmethod
-    def from_canonical(cls, n: int, polytopes, assembly) -> "TNPSet":
+    def from_canonical(cls, n: int, polytopes) -> "TNPSet":
         """A set whose polytopes already form a canonical union, as the
         pieces of a written document do: taken as they are, with no
         provenance, and no union is recomputed."""
         s = object.__new__(cls)
-        s.n, s.pieces, s.assembly = n, (), assembly
+        s.n, s.pieces = n, ()
         s.canonical = tuple((p, ()) for p in polytopes)
         return s
 
@@ -148,7 +135,7 @@ class TNPSet:
 
     def __repr__(self):
         return (f"TNPSet(n={self.n}, pieces={len(self.pieces)}, "
-                f"canonical={len(self.canonical)}, assembly={self.assembly!r})")
+                f"canonical={len(self.canonical)})")
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +175,7 @@ def _affine_form(ctx: GammaContext, cell: Cell, i: int):
     return frac_vec(exp), ctx.restricted[i][exp]
 
 
-def cell_contribution(ctx: GammaContext, analysis: SigmaAnalysis,
-                      staircase: bool = True) -> Polyhedron:
+def cell_contribution(ctx: GammaContext, analysis: SigmaAnalysis) -> Polyhedron:
     """The output polytope of one analyzed cell; empty unless the face is
     dicritical pre-origin and the cell contributes."""
     n = ctx.face.n
@@ -198,7 +184,7 @@ def cell_contribution(ctx: GammaContext, analysis: SigmaAnalysis,
         return Polyhedron.empty(n)
     if analysis.unrealizable:
         return Polyhedron.empty(n)
-    piece = _assemble(ctx, analysis, staircase)
+    piece = _assemble(ctx, analysis)
     if piece.dim > n - 1:
         raise GenericityError(
             f"piece of dimension {piece.dim} from face {face.id}, "
@@ -206,48 +192,36 @@ def cell_contribution(ctx: GammaContext, analysis: SigmaAnalysis,
     return piece
 
 
-def _assemble(ctx: GammaContext, analysis: SigmaAnalysis,
-              staircase: bool) -> Polyhedron:
+def _assemble(ctx: GammaContext, analysis: SigmaAnalysis) -> Polyhedron:
     """l(C) + cone{-e_i : i a bending origin member} + span{e_j : j a free
     member}, C the cell closure and l the map x -> (l_i(x) on the origin
-    members, 0 elsewhere), l_i the member's affine form on the cell.  The
-    product form turns each bending row into the constant sup of l_i over C,
-    or into a free line when that supremum is unbounded."""
+    members, 0 elsewhere), l_i the member's affine form on the cell."""
     n = ctx.face.n
-    closure = analysis.cell.closure
     zero = (0,) * n
     rows, consts, rays, lines = [], [], [], []
     for i in range(n):
         unit = tuple(int(j == i) for j in range(n))
-        row, const = zero, 0
-        free = i not in ctx.origin_members
-        if not free:
+        if i in ctx.origin_members:
             row, const = _affine_form(ctx, analysis.cell, i)
             if i in analysis.bending:
-                if not staircase:
-                    sup = closure.support_value(row)
-                    free = sup is None
-                    row, const = zero, (0 if free else sup + const)
-                if not free:
-                    rays.append(tuple(-x for x in unit))
-        if free:
+                rays.append(tuple(-x for x in unit))
+        else:
+            row, const = zero, 0
             lines.append(unit)
         rows.append(row)
         consts.append(const)
-    return closure.affine_image(rows, consts, rays, lines).dual_description()
+    return analysis.cell.closure.affine_image(
+        rows, consts, rays, lines).dual_description()
 
 
 # ---------------------------------------------------------------------------
 # the full engine
 # ---------------------------------------------------------------------------
 
-def tnp_set(F: TropicalMap, *, staircase: bool = True,
+def tnp_set(F: TropicalMap, *,
             faces: Optional[Sequence[TupleFace]] = None) -> TNPSet:
     """Union of the contributions over all dicritical pre-origin tuple-faces.
 
-    The coupled staircase assembly is the default; pass staircase=False for
-    the per-coordinate product closure (useful for cross-checking, but it
-    can exceed the true set when suprema are not simultaneously attained).
     Callers that already hold the tuple-faces of delta0(F) pass them as
     `faces`, so that they are not enumerated twice; only the dicritical
     pre-origin ones are restricted and decomposed.
@@ -261,11 +235,11 @@ def tnp_set(F: TropicalMap, *, staircase: bool = True,
         out = []
         for cell in ctx.complex:
             analysis = analyze_sigma(ctx, cell)
-            piece = cell_contribution(ctx, analysis, staircase=staircase)
+            piece = cell_contribution(ctx, analysis)
             if not piece.is_empty:
                 out.append(TNPPiece(piece, face.id, cell.id))
         return out
 
     pieces = [p for chunk in parallel_map(work, relevant) for p in chunk]
-    return TNPSet(F.n, pieces, "staircase" if staircase else "product")
+    return TNPSet(F.n, pieces)
 

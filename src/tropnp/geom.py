@@ -16,8 +16,8 @@ Conventions
   primitive row h = (offset, -normal) with h . (1, x) >= 0 (or == 0).  Ranks,
   the lineality basis and reductions modulo it come from one fraction-free
   integer elimination (`int_rref`).  Fractions are built only by the public
-  accessors: `vertices`, `hrep()`, `canonical_key()`,
-  `relative_interior_point()` and `support_value()`.
+  accessors: `vertices`, `hrep()`, `canonical_key()` and
+  `relative_interior_point()`.
 * Canonical form: constraint rows are primitive (equalities oriented so the
   leading nonzero normal entry is positive), the lineality basis is the
   primitive reduced row echelon form with positive pivots, points and rays
@@ -652,33 +652,6 @@ class Polyhedron:
                   for p in self._points for q in other._points]
         return Polyhedron._from_vdata(self.n, points, self._rays + other._rays,
                                       self._lins + other._lins)
-
-    def _argmax(self, a: IVec):
-        """(the reduced points maximising the integer direction a, numerator
-        and x0 of the maximum); None when a is unbounded above."""
-        self._ensure_reduced_vrep()
-        if any(vdot(a, r) > 0 for r in self._rays):
-            return None
-        if any(vdot(a, l) != 0 for l in self._lins):
-            return None
-        values = [(vdot(a, p[1:]), p[0]) for p in self._points]
-        top, den = values[0]
-        for v, d in values[1:]:
-            if v * den > top * d:
-                top, den = v, d
-        points = [p for p, (v, d) in zip(self._points, values) if v * den == top * d]
-        return points, top, den
-
-    def support_value(self, alpha):
-        """sup of <alpha, .>; None when unbounded above."""
-        s, a = _scaled_ints(alpha)
-        if self.is_empty:
-            raise GeometryError("empty polyhedron")
-        found = self._argmax(a)
-        if found is None:
-            return None
-        _, top, den = found
-        return Fraction(top, s * den)
 
     def recession_cone(self) -> "Polyhedron":
         """The recession cone, a polyhedron with the origin as its point."""

@@ -3,12 +3,15 @@ import itertools
 import os
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import pytest
 
-from tropnp.engine import analyze_gamma
+from tropnp.engine import (GenericityError, TNPPiece, TNPSet, analyze_gamma,
+                           analyze_sigma)
+from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.geom import (_DD, GeometryError, Polyhedron, convex_hull, frac_vec,
-                         primitive, vdot, vsub)
+                         int_rref, primitive, vdot, vsub)
 from tropnp.subdivision import decomposition
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
@@ -89,10 +92,23 @@ def face_in_direction(poly, alpha):
         raise GeometryError("empty polyhedron has no faces")
     if not any(a):
         raise GeometryError("direction must be nonzero")
-    found = poly._argmax(a)
-    if found is None:
+    if any(vdot(a, r) > 0 for r in poly.rays) \
+            or any(vdot(a, l) for l in poly.lineality):
         return None
-    return poly._sub(found[0], [r for r in poly.rays if vdot(a, r) == 0])
+    values = [vdot(a, v) for v in poly.vertices]
+    top = max(values)
+    return Polyhedron.from_generators(
+        poly.n, [v for v, x in zip(poly.vertices, values) if x == top],
+        [r for r in poly.rays if vdot(a, r) == 0], poly.lineality)
+
+
+def supremum(poly, alpha):
+    """sup of <alpha, .> over a nonempty polyhedron, read off its image on
+    the line; None when unbounded above."""
+    image = poly.affine_image([alpha], [0])
+    if image.lineality or any(r[0] > 0 for r in image.rays):
+        return None
+    return max(v[0] for v in image.vertices)
 
 
 def restrict(p, face):
@@ -391,7 +407,7 @@ def verify_witness(F, y, verdict, steps=3):
 
 
 # ---------------------------------------------------------------------------
-# the engine's earlier assemblies, kept as references for `_assemble`
+# references for the engine's assembly, and the product closure
 # ---------------------------------------------------------------------------
 
 def _reference_affine_form(ctx, cell, i):
@@ -421,9 +437,12 @@ def reference_staircase(ctx, analysis):
 
 
 def reference_product(ctx, analysis):
-    """Each bending origin coordinate bounded by its supremum over the cell;
+    """The per-coordinate product closure of a cell's contribution: each
+    bending origin coordinate bounded by its supremum over the cell alone,
     the other origin coordinates confined to the cell's affine image, whose
-    H-representation is embedded coordinate by coordinate."""
+    H-representation is embedded coordinate by coordinate.  It contains the
+    engine's piece, and exceeds it where the suprema are not attained at one
+    point of the cell, which happens from n = 3 on."""
     n = ctx.face.n
     cell = analysis.cell
     ineqs, eqs = [], []
@@ -435,7 +454,7 @@ def reference_product(ctx, analysis):
             rows.append(normal)
             consts.append(offset)
             continue
-        sup = cell.closure.support_value(normal)
+        sup = supremum(cell.closure, normal)
         if sup is not None:
             ineqs.append((tuple(int(j == i) for j in range(n)), sup + offset))
     if image_coords:
@@ -447,6 +466,185 @@ def reference_product(ctx, analysis):
                     e[c] = coeff
                 out.append((tuple(e), b))
     return Polyhedron.from_hrep(n, ineqs, eqs).dual_description()
+
+
+def product_contribution(ctx, analysis):
+    """`cell_contribution` with the product closure for the assembly."""
+    face = ctx.face
+    if not (face.dicritical and face.pre_origin and analysis.contributing) \
+            or analysis.unrealizable:
+        return Polyhedron.empty(face.n)
+    piece = reference_product(ctx, analysis)
+    if piece.dim > face.n - 1:
+        raise GenericityError(
+            f"piece of dimension {piece.dim} from face {face.id}, "
+            f"cell {analysis.cell.id}: input is not face-generic")
+    return piece
+
+
+def product_set(F):
+    """The product closure of the whole set: `tnp_set` with the product
+    closure of every contributing cell of the dicritical pre-origin faces."""
+    pieces = []
+    for face in enumerate_tuple_faces(delta0(F)):
+        if not (face.dicritical and face.pre_origin):
+            continue
+        ctx = analyze_gamma(F, face)
+        for cell in ctx.complex:
+            piece = product_contribution(ctx, analyze_sigma(ctx, cell))
+            if not piece.is_empty:
+                pieces.append(TNPPiece(piece, face.id, cell.id))
+    return TNPSet(F.n, pieces)
+
+
+# ---------------------------------------------------------------------------
+# the set as a tropical hypersurface: balancing, and its ends
+# ---------------------------------------------------------------------------
+
+def integer_nullspace(rows, ncols):
+    """A basis of the integer vectors x with row . x = 0 for every row, one
+    vector per free column of the `int_rref` of the rows."""
+    red, pivots = int_rref([primitive(r) for r in rows])
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(int(j == f)) for j in range(ncols)]
+        for row, p in zip(red, pivots):
+            v[p] = Fraction(-row[f], row[p])
+        basis.append(primitive(v))
+    return basis
+
+
+def _det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def _content(rows, n):
+    """The gcd of the maximal minors of integer rows in Z^n: the index of
+    their lattice in its saturation (1 for no rows)."""
+    return reduce(gcd, (_det([[r[c] for c in cols] for r in rows])
+                        for cols in itertools.combinations(range(n), len(rows))),
+                  0)
+
+
+def _crosses(p, a, b):
+    """Does the hyperplane a . x = b cut the relative interior of p?"""
+    vals = [vdot(a, v) - b for v in p.vertices]
+    dirs = [vdot(a, r) for r in p.rays]
+    dirs += [s * vdot(a, l) for l in p.lineality for s in (1, -1)]
+    return (any(v > 0 for v in vals) or any(d > 0 for d in dirs)) \
+        and (any(v < 0 for v in vals) or any(d < 0 for d in dirs))
+
+
+def _refine(pieces):
+    """The pieces cut by the facet hyperplanes and the affine hulls of all
+    pieces: closed cells of one hyperplane arrangement, which meet face to
+    face, so that a weight may change wherever a ridge of another piece
+    lies; a cell of two overlapping pieces comes once."""
+    cuts = {}
+    for p in pieces:
+        ineqs, eqs = p.hrep()
+        for a, b in ineqs + eqs:
+            lead = next(x for x in a if x)
+            cuts[(a, b) if lead > 0 else (vscale(-1, a), -b)] = None
+    atoms = list(pieces)
+    for a, b in cuts:
+        split = []
+        for p in atoms:
+            if not _crosses(p, a, b):
+                split.append(p)
+                continue
+            ineqs, eqs = p.hrep()
+            split.append(Polyhedron.from_hrep(p.n, ineqs + [(a, b)], eqs))
+            split.append(Polyhedron.from_hrep(
+                p.n, ineqs + [(vscale(-1, a), -b)], eqs))
+        atoms = split
+    return list({p.canonical_key(): p for p in atoms}.values())
+
+
+def balanced_weights(pieces):
+    """Positive integer weights that balance a union of (n-1)-dimensional
+    polyhedra in R^n (Maclagan and Sturmfels, 2015, section 3.3), as
+    (cell, weight) pairs over the cells of `_refine`; None when no positive
+    weights balance.
+
+    At each ridge r, a facet of some cells, balancing asks that the sum of
+    w_A u_A over the cells A with facet r lie in the span of r, where u_A is
+    the primitive lattice vector from r into A modulo that span.  The
+    weights are the integer nullspace of those conditions, and a positive
+    one exists exactly when the sum of the extreme rays of the nullspace's
+    nonnegative cone, found by one double description, is positive.
+    """
+    n = pieces[0].n
+    if any(p.dim != n - 1 for p in pieces):
+        raise ValueError("balancing is defined for pure (n-1)-dimensional sets")
+    atoms = _refine(pieces)
+    ridges = {}
+    for k, atom in enumerate(atoms):
+        ineqs, eqs = atom.hrep()
+        inner = atom.relative_interior_point()
+        for row in ineqs:
+            ridge = Polyhedron.from_hrep(n, ineqs, eqs + [row])
+            entry = ridges.setdefault(ridge.canonical_key(), (ridge, []))
+            entry[1].append((k, primitive(
+                vsub(inner, ridge.relative_interior_point()))))
+    rows = []
+    for ridge, star in ridges.values():
+        verts = ridge.vertices
+        span = [primitive(vsub(v, verts[0])) for v in verts[1:]]
+        span = int_rref(span + ridge.rays + ridge.lineality)[0]
+        index = _content(span, n)
+        for c in integer_nullspace(span, n):
+            row = [Fraction(0)] * len(atoms)
+            for k, d in star:
+                row[k] += Fraction(vdot(c, d) * index, _content([d] + span, n))
+            rows.append(row)
+    basis = integer_nullspace(rows, len(atoms))
+    if not basis:
+        return None
+    cone = Polyhedron.from_hrep(
+        len(basis), [(tuple(-b[i] for b in basis), 0)
+                     for i in range(len(atoms))])
+    total = [sum(x) for x in zip((0,) * len(basis), *cone.rays)]
+    weights = [vdot(total, [b[i] for b in basis]) for i in range(len(atoms))]
+    if not all(w > 0 for w in weights):
+        return None
+    return list(zip(atoms, primitive(weights)))
+
+
+def components(polytopes):
+    """The connected components of a union of closed polyhedra, as lists of
+    pieces: pairwise intersections joined by union-find."""
+    parent = list(range(len(polytopes)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(polytopes)), 2):
+        if find(i) != find(j) \
+                and not polytopes[i].intersect(polytopes[j]).is_empty:
+            parent[find(i)] = find(j)
+    groups = {}
+    for i, p in enumerate(polytopes):
+        groups.setdefault(find(i), []).append(p)
+    return list(groups.values())
+
+
+def reaches_infinity_nonnegatively(component):
+    """Does some piece of the component hold a ray whose direction is
+    nonnegative and nonzero?  Its recession cone then meets the
+    nonnegative orthant outside the origin."""
+    n = component[0].n
+    orthant = Polyhedron.from_generators(
+        n, [(0,) * n], [tuple(int(i == j) for j in range(n)) for i in range(n)])
+    return any(p.recession_cone().intersect(orthant).rays for p in component)
 
 
 @pytest.fixture(scope="session")

@@ -13,14 +13,19 @@ For each random plane map it checks, with everything exact:
   * that non-pre-origin faces contribute nothing,
   * the cell-count bijection between the full complex and each restricted
     complex (for faces whose members all meet the support),
-  * agreement of the product and staircase assemblies, with any disagreement
-    classified by the membership oracle,
+  * agreement of the engine's assembly with the product closure of
+    `conftest.product_contribution`, with any disagreement classified by
+    the membership oracle,
   * that a transversal full complex leaves every restricted complex
     transversal, the implication `tropnp compute`'s gate rests on, and
     that the gate's verdict, read off the lifted Cayley polytope, is the
     full complex's,
-  * and, whenever every produced complex is transversal, a full grid
-    comparison between the engine and the oracle.
+  * and, whenever every produced complex is transversal and no piece is
+    refused, a full grid comparison between the engine and the oracle,
+    positive weights that balance the output's (n-1)-dimensional pieces,
+    and a ray of nonnegative nonzero direction in each of its connected
+    components; an output with a piece of lower dimension is counted as
+    impure.
 """
 
 import random
@@ -35,9 +40,11 @@ from tropnp.subdivision import cayley_profiles, decomposition
 from tropnp.subdivision import transversal as subdivision_transversal
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
-from conftest import (argmax_at, canonical_key_from, cell_dual, cell_summands,
-                      duality_violations, equal_as_sets, minkowski_sum_of,
-                      rank, strict_witness, summand_ranks, vscale, with_level)
+from conftest import (argmax_at, balanced_weights, canonical_key_from,
+                      cell_dual, cell_summands, components, duality_violations,
+                      equal_as_sets, minkowski_sum_of, product_contribution,
+                      rank, reaches_infinity_nonnegatively, strict_witness,
+                      summand_ranks, vscale, with_level)
 
 F = Fraction
 
@@ -97,6 +104,10 @@ class MapReport:
     genericity_failure: bool = False
     oracle_checked: bool = False
     oracle_ok: bool = True
+    #: the checks of an accepted output as a tropical hypersurface
+    balanced: bool = True
+    ends_ok: bool = True
+    impure: bool = False
     disagreements: list = field(default_factory=list)
     unclassified: int = 0
 
@@ -105,7 +116,7 @@ class MapReport:
         return (self.duality_ok and self.pieces_ok and self.non_pre_origin_ok
                 and self.bijection_ok and self.gate_implication_ok
                 and self.cayley_verdict_ok
-                and self.oracle_ok
+                and self.oracle_ok and self.balanced and self.ends_ok
                 and self.unclassified == 0)
 
 
@@ -215,8 +226,8 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
         for cell in ctx.complex:
             analysis = analyze_sigma(ctx, cell)
             try:
-                prod = cell_contribution(ctx, analysis, staircase=False)
-                stair = cell_contribution(ctx, analysis, staircase=True)
+                prod = product_contribution(ctx, analysis)
+                stair = cell_contribution(ctx, analysis)
             except GenericityError:
                 report.genericity_failure = True
                 continue
@@ -235,8 +246,8 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
                 else:
                     diff_probes.append((face.id, cell.id, probe))
 
-    product_set = TNPSet(n, product_pieces, "product")
-    staircase_set = TNPSet(n, staircase_pieces, "staircase")
+    product_set = TNPSet(n, product_pieces)
+    staircase_set = TNPSet(n, staircase_pieces)
     # the oracle's complexes: the virtual preimages of points of the set,
     # the components extended by the levels y_i as terms at the origin
     for piece in staircase_set.polytopes:
@@ -258,7 +269,19 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
         grid = grid_compare(m, staircase_set, resolution=grid_res)
         report.oracle_checked = True
         report.oracle_ok = not grid.mismatches
+        _check_hypersurface(report, staircase_set.polytopes, n)
     return report
+
+
+def _check_hypersurface(report, polytopes, n):
+    """The (n-1)-dimensional pieces of an accepted output balance with
+    positive weights, and every connected component has an end in a
+    nonnegative direction."""
+    top = [p for p in polytopes if p.dim == n - 1]
+    report.impure = len(top) != len(polytopes)
+    report.balanced = not top or balanced_weights(top) is not None
+    report.ends_ok = all(map(reaches_infinity_nonnegatively,
+                             components(polytopes)))
 
 
 def run_suite(count: int, seed: int = 20240607, grid_res: int = 9):
@@ -284,6 +307,9 @@ def summarize(reports) -> str:
         f"Cayley verdict breaks:   "
         f"{sum(not r.cayley_verdict_ok for r in reports)}",
         f"genericity refusals:     {sum(r.genericity_failure for r in reports)}",
+        f"unbalanced outputs:      {sum(not r.balanced for r in reports)}",
+        f"ends missing:            {sum(not r.ends_ok for r in reports)}",
+        f"impure outputs:          {sum(r.impure for r in reports)}",
         f"assembly disagreements:  {sum(len(r.disagreements) for r in reports)}",
         f"unclassified:            {sum(r.unclassified for r in reports)}",
     ]

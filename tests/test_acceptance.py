@@ -143,11 +143,16 @@ def test_criterion_6_randomized_property_suite(suite_reports):
             f"{r.seed_index}"
         if r.oracle_checked:
             assert r.oracle_ok, f"oracle mismatch on map {r.seed_index}"
+        assert r.balanced, f"unbalanced output on map {r.seed_index}"
+        assert r.ends_ok, \
+            f"a component without a nonnegative end on map {r.seed_index}"
     checked = sum(r.oracle_checked for r in reports)
+    impure = sum(r.impure for r in reports)
     assert checked > 0
     assert elapsed < 600.0
-    report(6, f"{SUITE_SIZE} random maps clean; {checked} oracle-verified",
-           elapsed)
+    report(6, f"{SUITE_SIZE} random maps clean; {checked} oracle-verified, "
+              f"balanced, every component with a nonnegative end; "
+              f"{impure} impure", elapsed)
 
 
 def test_criterion_7_product_versus_staircase_probe(suite_reports):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropnp import cli, engine
-from tropnp.cli import (_transversality_report, dump_doc, main,
+from tropnp.cli import (_transversality_report, dump_doc, load_input, main,
                         parse_input_spec, parse_output_doc, rat_str)
 from tropnp.engine import (GenericityError, TNPSet, analyze_gamma,
                            analyze_sigma, cell_contribution, tnp_set)
@@ -16,7 +16,7 @@ from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.subdivision import decomposition
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
-from conftest import (corner_locus_pieces, fixture_path,
+from conftest import (corner_locus_pieces, fixture_path, product_set,
                       reference_transversality_report, union_equal)
 from property_suite import random_map
 
@@ -177,7 +177,7 @@ def test_one_parser_serves_a_sequence_of_calls(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert cli.build_parser() is not cli.build_parser()
     assert reused == [run(capsys, *argv) for argv in sequence]
-    assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0]
+    assert [code for code, _, _ in reused] == [1, 0, 1, 0, 0]
 
 
 def test_help_exits_0(capsys):
@@ -324,35 +324,37 @@ class TestComputeCommand:
         assert code == 3
 
     def test_staircase_is_the_default(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(capsys, "compute", "--input", fixture_path("map2d.json"),
-            "--output", str(a))
-        run(capsys, "compute", "--input", fixture_path("map2d.json"),
-            "--staircase", "--output", str(b))
-        assert json.loads(a.read_text())["tnp"]["assembly"] == "staircase"
-        assert a.read_bytes() == b.read_bytes()
+        out = tmp_path / "a.json"
+        code, _, _ = run(capsys, "compute", "--input",
+                         fixture_path("map2d.json"), "--output", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["tnp"]["assembly"] == "staircase"
 
     def test_product_flag(self, tmp_path, capsys):
+        # compute has one assembly and no flag to choose it; the product
+        # closure is the test reference conftest.product_set
         out = tmp_path / "p.json"
-        code, _, _ = run(capsys, "compute", "--input", fixture_path("map2d.json"),
-                         "--product", "--output", str(out))
-        assert code == 0
-        assert json.loads(out.read_text())["tnp"]["assembly"] == "product"
+        for flag in ("--product", "--staircase"):
+            code, stdout, err = run(capsys, "compute", "--input",
+                                    fixture_path("map2d.json"), flag,
+                                    "--output", str(out))
+            assert code == 1 and not stdout and not out.exists()
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert flag in err and "Traceback" not in err
 
     def test_product_pieces_carry_the_canonical_constraints(self, tmp_path,
                                                             capsys):
         # the product closure of this map equals the staircase one, so its
         # pieces, inequality and equality rows included, must be the same
-        pieces = {}
-        for variant in ("--staircase", "--product"):
-            out = tmp_path / f"{variant[2:]}.json"
-            code, _, _ = run(capsys, "compute", "--input",
-                             fixture_path("map3d_product.json"), variant,
-                             "--output", str(out))
-            assert code == 0
-            pieces[variant] = json.loads(out.read_text())["tnp"]["pieces"]
-        assert pieces["--staircase"]
-        assert pieces["--product"] == pieces["--staircase"]
+        out = tmp_path / "staircase.json"
+        code, _, _ = run(capsys, "compute", "--input",
+                         fixture_path("map3d_product.json"), "--output",
+                         str(out))
+        assert code == 0
+        pieces = json.loads(out.read_text())["tnp"]["pieces"]
+        product, _ = load_input(fixture_path("map3d_product.json"))
+        assert pieces
+        assert cli.tnp_json(product_set(product))["pieces"] == pieces
 
     def test_transversality_violation_exits_2(self, tmp_path, capsys):
         # the same curve twice overlaps itself: nothing is transversal
@@ -620,6 +622,9 @@ class TestSerialization:
 PINNED_DOCUMENTS = [
     (["compute", "--input", "map2d.json"],
      "74085549e620ec6b234e08480aadfb07c5d261c6cc6d35723e021435931c2e44"),
+    # a "--product" row is the document of conftest.product_set with
+    # "assembly": "product", as `compute --product` wrote it when the
+    # product closure was an option of the program
     (["compute", "--input", "map2d.json", "--product"],
      "ad6ad047d1294e3d0681b590693e126a11580899854b90a7f33490befaefc965"),
     (["compute", "--input", "map2d_deg.json"],
@@ -654,9 +659,25 @@ PINNED_DOCUMENTS = [
                          ids=[" ".join(a) for a, _ in PINNED_DOCUMENTS])
 def test_document_bytes_are_pinned(capsys, argv, digest):
     argv = [fixture_path(a) if a.endswith(".json") else a for a in argv]
-    code, out, err = run(capsys, *argv)
-    assert code == 0 and not err
+    if "--product" in argv:
+        out = _product_document(argv[argv.index("--input") + 1])
+    else:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and not err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _product_document(path):
+    """The text of the compute document of the product closure."""
+    F, _ = load_input(path)
+    faces = enumerate_tuple_faces(delta0(F))
+    assert not _transversality_report(F, faces)
+    tnp = cli.tnp_json(product_set(F))
+    tnp["assembly"] = "product"
+    doc = {"schema": cli.SCHEMA, "n": F.n, "tnp": tnp,
+           "tuple_faces": cli.faces_json(faces),
+           "transversality": {"ok": True, "offending": []}}
+    return dump_doc(doc, os.devnull)
 
 
 _scalars = (st.none() | st.booleans() | st.integers()

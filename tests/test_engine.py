@@ -12,9 +12,11 @@ from tropnp.geom import Polyhedron
 from tropnp.subdivision import decomposition
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
-from conftest import (cell_dual, corner_locus_pieces, covered_by_union,
-                      equal_as_sets, fixture_path, minkowski_sum_of,
-                      reference_product, reference_staircase, union_equal)
+from conftest import (balanced_weights, cell_dual, components,
+                      corner_locus_pieces, covered_by_union, equal_as_sets,
+                      fixture_path, minkowski_sum_of, product_contribution,
+                      product_set, reaches_infinity_nonnegatively,
+                      reference_staircase, supremum, union_equal)
 from property_suite import random_map
 
 F = Fraction
@@ -241,15 +243,15 @@ class TestDeterminism:
 class TestAssemblies:
     def test_staircase_is_contained_in_product(self, map2d, map3d):
         for F_ in (map2d, map3d):
-            sp = tnp_set(F_, staircase=False)
-            ss = tnp_set(F_, staircase=True)
+            sp = product_set(F_)
+            ss = tnp_set(F_)
             for q in ss.polytopes:
                 assert covered_by_union(q, sp.polytopes)
 
     def test_assemblies_agree_on_fixtures(self, map2d, map3d):
         for F_ in (map2d, map3d):
-            assert union_equal(tnp_set(F_, staircase=False).polytopes,
-                               tnp_set(F_, staircase=True).polytopes)
+            assert union_equal(product_set(F_).polytopes,
+                               tnp_set(F_).polytopes)
 
     def test_product_closure_overshoots_in_three_dimensions(self):
         """A transversal map where the per-coordinate product closure
@@ -264,7 +266,7 @@ class TestAssemblies:
         f2 = TropicalPolynomial(3, {(1, 0, 0): -2, (1, 1, 2): 2})
         m = TropicalMap([f0, f1, f2])
         coupled = tnp_set(m)
-        product = tnp_set(m, staircase=False)
+        product = product_set(m)
         outside = [(-3, -21, -5), (F(-13, 3), F(-59, 3), F(-19, 3)),
                    (-2, -24, -4), (-10, -16, -12)]
         for y in outside:
@@ -294,9 +296,9 @@ def _reference_maps():
 
 
 class TestOneAssembly:
-    """Both assemblies, read off the cell's generators, equal the earlier
-    constructions: the staircase lifted to R^2n and projected, the product
-    with the image's H-representation embedded coordinate by coordinate."""
+    """The assembly, read off the cell's generators, equals the staircase
+    lifted to R^2n and projected, and lies in the product closure of the
+    cell."""
 
     def test_matches_the_reference_assemblies(self):
         compared = unbounded = 0
@@ -309,24 +311,76 @@ class TestOneAssembly:
                     a = analyze_sigma(ctx, cell)
                     if not a.contributing or a.unrealizable:
                         continue
-                    for staircase, reference in ((True, reference_staircase),
-                                                 (False, reference_product)):
-                        want = reference(ctx, a)
-                        try:
-                            got = cell_contribution(ctx, a, staircase)
-                        except GenericityError:
-                            assert want.dim > m.n - 1
-                            continue
-                        assert got.canonical_key() == want.canonical_key()
-                        assert got.hrep() == want.hrep()
-                        compared += 1
                     unbounded += any(
-                        cell.closure.support_value(
-                            cell.profile[i].dual_points[0])
+                        supremum(cell.closure, cell.profile[i].dual_points[0])
                         is None for i in ctx.origin_members & a.bending)
+                    want = reference_staircase(ctx, a)
+                    try:
+                        got = cell_contribution(ctx, a)
+                    except GenericityError:
+                        assert want.dim > m.n - 1
+                        continue
+                    assert got.canonical_key() == want.canonical_key()
+                    assert got.hrep() == want.hrep()
+                    compared += 1
+                    assert product_contribution(ctx, a).contains_polyhedron(got)
+                    compared += 1
         assert compared > 100
-        # the product form's free line, where a supremum is unbounded
+        # the product closure's free line, where a supremum is unbounded
         assert unbounded > 0
+
+
+class TestHypersurface:
+    """The set is a balanced tropical hypersurface each of whose connected
+    components reaches infinity in a nonnegative direction; the product
+    closure need not balance."""
+
+    def test_weights_of_a_plane_curve(self):
+        # max(0, 2x, y): the ray dual to the edge of lattice length 2 has
+        # weight 2, and a lone ray balances with no positive weight
+        pieces = [p for p in corner_locus_pieces(
+            {(0, 0): 0, (2, 0): 0, (0, 1): 0}, 2) if p.dim == 1]
+        weights = {tuple(a.rays): w for a, w in balanced_weights(pieces)}
+        assert weights == {((0, -1),): 2, ((-1, 0),): 1, ((1, 2),): 1}
+        assert balanced_weights(pieces[:1]) is None
+
+    def test_overlapping_pieces_are_weighed_on_their_union(self):
+        line = [Polyhedron.from_generators(2, [(0, 0)], [(-1, 0)]),
+                Polyhedron.from_generators(2, [(0, 0), (2, 0)]),
+                Polyhedron.from_generators(2, [(1, 0)], [(1, 0)])]
+        assert [w for _, w in balanced_weights(line)] == [1] * 4
+        assert balanced_weights(line[1:]) is None
+
+    def test_corner_loci_balance(self):
+        rng = random.Random(1999)
+        checked = 0
+        for _ in range(30):
+            n = rng.choice((2, 3))
+            terms = {tuple(rng.randint(0, 3) for _ in range(n)):
+                     F(rng.randint(-5, 5)) for _ in range(4)}
+            pieces = [p for p in corner_locus_pieces(terms, n)
+                      if p.dim == n - 1]
+            if pieces:
+                assert balanced_weights(pieces) is not None, terms
+                checked += 1
+        assert checked > 20
+
+    def test_product_closure_of_a_pool_map_is_unbalanced(self):
+        m, _ = load_input(fixture_path("map3d_unbalanced.json"))
+        staircase, product = tnp_set(m).polytopes, product_set(m).polytopes
+        assert all(p.dim == 2 for p in staircase + product)
+        assert balanced_weights(staircase) is not None
+        assert balanced_weights(product) is None
+
+    def test_components_and_their_ends(self):
+        ray = Polyhedron.from_generators(2, [(0, 0)], [(1, 0)])
+        down = Polyhedron.from_generators(2, [(1, 0)], [(0, -1)])
+        segment = Polyhedron.from_generators(2, [(5, 5), (6, 7)])
+        parts = components([ray, segment, down])
+        assert sorted(map(len, parts)) == [1, 2]
+        assert [reaches_infinity_nonnegatively(c) for c in parts] \
+            == [len(c) == 2 for c in parts]
+        assert not reaches_infinity_nonnegatively([down])
 
 
 class TestBijection:

@@ -11,7 +11,7 @@ from tropnp.geom import (GeometryError, Polyhedron, convex_hull, int_rref,
 
 from conftest import (covered_by_union, equal_as_sets, face_in_direction,
                       normal_cone_of_face, rank, reduce_modulo, rref,
-                      union_equal)
+                      supremum, union_equal)
 
 F = Fraction
 
@@ -283,7 +283,7 @@ class TestRandomizedProperties:
                 d = tuple(F(rng.randint(-5, 5)) for _ in range(n))
                 if all(x == 0 for x in d):
                     continue
-                assert s.support_value(d) == p.support_value(d) + q.support_value(d)
+                assert supremum(s, d) == supremum(p, d) + supremum(q, d)
             for _ in range(5):
                 x = p.relative_interior_point()
                 y = q.relative_interior_point()

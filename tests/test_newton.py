@@ -16,7 +16,7 @@ F = Fraction
 
 def fan_of_corner_locus(terms, n):
     pieces = corner_locus_pieces(terms, n)
-    s = TNPSet(n, [TNPPiece(p, 0, i) for i, p in enumerate(pieces)], "product")
+    s = TNPSet(n, [TNPPiece(p, 0, i) for i, p in enumerate(pieces)])
     return recover_fan(s)
 
 
@@ -55,7 +55,7 @@ def test_orth_project_is_orthogonal_to_the_whole_lineality():
 def test_plane_facet_normals_are_orthogonal_to_it():
     # the plane x + y + z = 0, the corner locus of max(0, x + y + z)
     plane = Polyhedron.from_hrep(3, [], [((1, 1, 1), 0)])
-    fan = recover_fan(TNPSet(3, [TNPPiece(plane, 0, 0)], "product"))
+    fan = recover_fan(TNPSet(3, [TNPPiece(plane, 0, 0)]))
     assert set(fan.facet_normals) == {(1, 1, 1), (-1, -1, -1)}
 
 
@@ -68,7 +68,7 @@ class TestKnownFan:
 
     def test_single_line_degenerates_to_a_segment(self):
         line = Polyhedron.from_hrep(2, [], [((1, 0), -1)])
-        s = TNPSet(2, [TNPPiece(line, 0, 0)], "product")
+        s = TNPSet(2, [TNPPiece(line, 0, 0)])
         fan = recover_fan(s)
         assert fan.face_vector == (2, 1)
         assert set(fan.facet_normals) == {(1, 0), (-1, 0)}
@@ -77,17 +77,17 @@ class TestKnownFan:
 
     def test_empty_set_is_an_error(self):
         with pytest.raises(FanError):
-            recover_fan(TNPSet(2, [], "product"))
+            recover_fan(TNPSet(2, []))
 
     def test_full_dimensional_piece_is_an_error(self):
         square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
         with pytest.raises(FanError):
-            recover_fan(TNPSet(2, [TNPPiece(square, 0, 0)], "product"))
+            recover_fan(TNPSet(2, [TNPPiece(square, 0, 0)]))
 
     def test_bounded_pieces_only_is_an_error(self):
         seg = Polyhedron.from_generators(2, [(0, 0), (1, 1)])
         with pytest.raises(FanError):
-            recover_fan(TNPSet(2, [TNPPiece(seg, 0, 0)], "product"))
+            recover_fan(TNPSet(2, [TNPPiece(seg, 0, 0)]))
 
 
 class TestAgainstIndependentNormalFan:

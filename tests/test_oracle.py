@@ -66,8 +66,7 @@ class TestGridCompare:
     def test_corrupted_engine_set_is_caught(self, map2d, set2d):
         # dropping a piece must surface as at least one mismatch
         broken = TNPSet(2, [TNPPiece(p, 0, i)
-                            for i, p in enumerate(set2d.polytopes[1:])],
-                        "product")
+                            for i, p in enumerate(set2d.polytopes[1:])])
         report = grid_compare(map2d, broken, box=[(-12, 4), (-12, 4)],
                               resolution=17, offset=F(0))
         assert report.mismatches

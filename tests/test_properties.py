@@ -22,6 +22,8 @@ class TestRandomizedSmoke:
             assert r.unclassified == 0
             if r.oracle_checked:
                 assert r.oracle_ok, f"oracle mismatch on map {r.seed_index}"
+            assert r.balanced, f"unbalanced output on map {r.seed_index}"
+            assert r.ends_ok, f"a component without an end on map {r.seed_index}"
         assert any(r.oracle_checked for r in reports)
 
     def test_known_map_report_is_clean(self, map2d):
