@@ -2,8 +2,13 @@
 
 Input is a JSON document;  coefficients are exact rationals ("p/q" strings
 or integers, no exponent notation), or leading series terms like "3t^5"
-whose exponent carries the coefficient's valuation (val = -5 here).  All output is canonical: the
-same input always produces byte-identical documents.
+whose exponent carries the coefficient's valuation (val = -5 here).  All
+output is canonical: the same input always produces byte-identical
+documents.
+
+Every command reads `--input` through `_read_map` and builds the set
+through `_gated_set`, so all of them refuse a map that fails compute's
+transversality gate alike; faces and oracle --point never build the set.
 
 Exit codes: 0 success, 1 parse/validation error (an argument error too),
 2 transversality or genericity violation, 3 dimension cap exceeded, 4 plot
@@ -324,14 +329,16 @@ def load_output_doc(path: str) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def _check_dim_cap(n, cap):
-    if n > cap:
-        raise DimensionCapExceeded(f"dimension {n} exceeds cap {cap}")
-
-
-def _tuple_faces(F, cap):
-    """The tuple-faces of delta0(F) under the dimension cap `cap`."""
-    return enumerate_tuple_faces(delta0(F, dim_cap=cap))
+def _read_map(args):
+    """The input map of a command: `load_input` of `--input`, with its
+    notices written to stderr, under the dimension cap."""
+    F, notices = load_input(args.input)
+    for note in notices:
+        print(f"notice: {note}", file=sys.stderr)
+    if F.n > args.dim_cap:
+        raise DimensionCapExceeded(
+            f"dimension {F.n} exceeds cap {args.dim_cap}")
+    return F
 
 
 def _transversality_report(F, faces):
@@ -375,19 +382,26 @@ def _transversality_report(F, faces):
     return offenders
 
 
-def cmd_compute(args) -> int:
-    F, notices = load_input(args.input)
-    for note in notices:
-        print(f"notice: {note}", file=sys.stderr)
-    _check_dim_cap(F.n, args.dim_cap)
-    faces = _tuple_faces(F, args.dim_cap)
+class TransversalityViolation(Exception):
+    """A map that the transversality gate refuses; its text is the list of
+    offending cells, which `main` writes to stderr as it stands."""
+
+
+def _gated_set(F, cap):
+    """(tuple-faces, set) of a map that passes the transversality gate;
+    the one path from a map to its set, for every command that builds it."""
+    faces = enumerate_tuple_faces(delta0(F, dim_cap=cap))
     offenders = _transversality_report(F, faces)
     if offenders:
-        print("transversality violation; offending cells:", file=sys.stderr)
-        for o in offenders:
-            print(f"  face={o['face']} cells={o['cells']}", file=sys.stderr)
-        return EXIT_GENERICITY
-    s = tnp_set(F, faces=faces)
+        raise TransversalityViolation(
+            "transversality violation; offending cells:\n" + "".join(
+                f"  face={o['face']} cells={o['cells']}\n" for o in offenders))
+    return faces, tnp_set(F, faces=faces)
+
+
+def cmd_compute(args) -> int:
+    F = _read_map(args)
+    faces, s = _gated_set(F, args.dim_cap)
     doc = {
         "schema": SCHEMA,
         "n": F.n,
@@ -400,10 +414,9 @@ def cmd_compute(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    F, _ = load_input(args.input)
-    _check_dim_cap(F.n, args.dim_cap)
+    F = _read_map(args)
     doc = {"schema": SCHEMA, "n": F.n}
-    if args.point:
+    if args.point is not None:
         pt = _parse_point(args.point, F.n)
         verdict = in_tnp(F, pt)
         doc["verdict"] = {
@@ -412,7 +425,7 @@ def cmd_oracle(args) -> int:
             "ray": [int(x) for x in verdict.ray] if verdict.ray else None,
             "cell": verdict.cell_id,
         }
-    elif args.grid:
+    else:
         if args.res < 1:
             raise InputError(f"--res must be at least 1, got {args.res}")
         if args.against:
@@ -422,7 +435,7 @@ def cmd_oracle(args) -> int:
                                  f"the input has n = {F.n}")
             engine = _document_set(parsed)
         else:
-            engine = tnp_set(F, faces=_tuple_faces(F, args.dim_cap))
+            engine = _gated_set(F, args.dim_cap)[1]
         box = _parse_box(args.box, "box", F.n) if args.box else None
         report = grid_compare(F, engine, box=box, resolution=args.res)
         doc["grid"] = {
@@ -432,9 +445,6 @@ def cmd_oracle(args) -> int:
                 {"point": vec_json(m.point), "oracle": m.oracle,
                  "engine": m.engine} for m in report.mismatches],
         }
-    else:
-        print("oracle: need --point or --grid", file=sys.stderr)
-        return EXIT_PARSE
     dump_doc(doc, args.output)
     return EXIT_OK
 
@@ -463,24 +473,18 @@ def _parse_box(text: str, name: str, n: int):
 
 
 def cmd_faces(args) -> int:
-    F, _ = load_input(args.input)
-    _check_dim_cap(F.n, args.dim_cap)
-    faces = _tuple_faces(F, args.dim_cap)
+    F = _read_map(args)
+    faces = enumerate_tuple_faces(delta0(F, dim_cap=args.dim_cap))
     doc = {"schema": SCHEMA, "n": F.n, "tuple_faces": faces_json(faces)}
     dump_doc(doc, args.output)
     return EXIT_OK
 
 
 def cmd_newton(args) -> int:
-    if (args.input is None) == (args.tnp is None):
-        raise InputError("newton needs exactly one of --input and --tnp")
-    if args.tnp:
-        parsed = load_output_doc(args.tnp)
-        source = _document_set(parsed)
+    if args.tnp is not None:
+        source = _document_set(load_output_doc(args.tnp))
     else:
-        F, _ = load_input(args.input)
-        _check_dim_cap(F.n, args.dim_cap)
-        source = tnp_set(F, faces=_tuple_faces(F, args.dim_cap))
+        source = _gated_set(_read_map(args), args.dim_cap)[1]
     fan = recover_fan(source)
     doc = {"schema": SCHEMA, "n": source.n, "fan": fan_json(fan)}
     dump_doc(doc, args.output)
@@ -590,15 +594,13 @@ def render_svg(F, s, window=None, y_overlay=None, size=640) -> str:
 
 
 def cmd_plot(args) -> int:
-    F, _ = load_input(args.input)
+    F = _read_map(args)
     if F.n != 2:
         print(f"plot: only dimension 2 is drawable, got {F.n}", file=sys.stderr)
         return EXIT_PLOT_DIM
     window = tuple(_parse_box(args.window, "window", 2)) if args.window else None
-    s = tnp_set(F)
-    y_overlay = None
-    if args.point:
-        y_overlay = _parse_point(args.point, 2)
+    s = _gated_set(F, args.dim_cap)[1]
+    y_overlay = _parse_point(args.point, 2) if args.point else None
     svg = render_svg(F, s, window=window, y_overlay=y_overlay)
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -638,8 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="definition-level membership checks")
     common(p)
-    p.add_argument("--point", help="comma-separated rational coordinates")
-    p.add_argument("--grid", action="store_true", help="grid comparison")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--point", help="comma-separated rational coordinates")
+    what.add_argument("--grid", action="store_true", help="grid comparison")
     p.add_argument("--box", help="'lo,hi' or per-axis 'lo,hi;lo,hi;...'")
     p.add_argument("--res", type=int, default=33, help="grid points per axis")
     p.add_argument("--against", help="compare against a compute output file")
@@ -650,8 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_faces)
 
     p = sub.add_parser("newton", help="face-vector and facet slopes")
-    p.add_argument("--input", help="input JSON file")
-    p.add_argument("--tnp", help="previously computed output document")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="input JSON file")
+    source.add_argument("--tnp", help="previously computed output document")
     p.add_argument("--output", help="output file (stdout when omitted)")
     p.add_argument("--dim-cap", type=int, default=DIM_CAP)
     p.set_defaults(func=cmd_newton)
@@ -661,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", required=True, help="output SVG file")
     p.add_argument("--window", help="'x0,x1;y0,y1'")
     p.add_argument("--point", help="overlay the virtual preimage of a point")
-    p.set_defaults(func=cmd_plot)
+    # plot has no --dim-cap option: it reads its input under the default cap
+    p.set_defaults(func=cmd_plot, dim_cap=DIM_CAP)
     return ap
 
 
@@ -670,18 +675,18 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, SupportError, json.JSONDecodeError, OSError,
-            KeyError) as exc:
+            KeyError, FanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except TransversalityViolation as exc:
+        sys.stderr.write(str(exc))
+        return EXIT_GENERICITY
     except DimensionCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIM_CAP
-    except (GenericityError,) as exc:
+    except GenericityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GENERICITY
-    except FanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .geom import Polyhedron, frac_vec
@@ -65,10 +65,7 @@ class SigmaAnalysis:
     """Per-cell contribution data inside a restricted decomposition."""
     cell: Cell
     contributing: bool
-    bending: frozenset = field(default_factory=frozenset)  # components bending
-    #: an origin member restricted to no terms at all: its output coordinate
-    #: would sit at minus infinity, so nothing real can be emitted
-    unrealizable: bool = False
+    bending: frozenset  # components bending
 
 
 @dataclass(frozen=True)
@@ -164,13 +161,12 @@ def analyze_sigma(ctx: GammaContext, cell: Cell) -> SigmaAnalysis:
     """
     bending = frozenset(i for i, fc in enumerate(cell.profile) if fc.bends)
     contributing = all(i in bending for i in ctx.free_members)
-    unrealizable = contributing and any(
-        not cell.profile[i].dual_points for i in ctx.origin_members - bending)
-    return SigmaAnalysis(cell, contributing, bending, unrealizable)
+    return SigmaAnalysis(cell, contributing, bending)
 
 
 def _affine_form(ctx: GammaContext, cell: Cell, i: int):
-    """The affine form of restricted component i on the cell."""
+    """The affine form of restricted component i on the cell: an origin
+    member of a dicritical face keeps a term, so the cell has dual points."""
     exp = cell.profile[i].dual_points[0]
     return frac_vec(exp), ctx.restricted[i][exp]
 
@@ -181,8 +177,6 @@ def cell_contribution(ctx: GammaContext, analysis: SigmaAnalysis) -> Polyhedron:
     n = ctx.face.n
     face = ctx.face
     if not (face.dicritical and face.pre_origin and analysis.contributing):
-        return Polyhedron.empty(n)
-    if analysis.unrealizable:
         return Polyhedron.empty(n)
     piece = _assemble(ctx, analysis)
     if piece.dim > n - 1:

@@ -66,7 +66,6 @@ class GridMismatch:
     point: tuple
     oracle: bool
     engine: bool
-    witness: Optional[tuple]
 
 
 @dataclass
@@ -138,7 +137,7 @@ def grid_compare(F: TropicalMap, engine_set: TNPSet, box=None,
         verdict = in_tnp(F, pt)
         engine = engine_set.membership(pt)
         if verdict.member != engine:
-            return GridMismatch(pt, verdict.member, engine, verdict.ray)
+            return GridMismatch(pt, verdict.member, engine)
         return verdict.member
 
     results = parallel_map(check, points)

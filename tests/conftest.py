@@ -471,8 +471,7 @@ def reference_product(ctx, analysis):
 def product_contribution(ctx, analysis):
     """`cell_contribution` with the product closure for the assembly."""
     face = ctx.face
-    if not (face.dicritical and face.pre_origin and analysis.contributing) \
-            or analysis.unrealizable:
+    if not (face.dicritical and face.pre_origin and analysis.contributing):
         return Polyhedron.empty(face.n)
     piece = reference_product(ctx, analysis)
     if piece.dim > face.n - 1:

@@ -140,6 +140,7 @@ MAP2D = fixture_path("map2d.json")
      ["--res"]),
     (["newton"], ["--input", "--tnp"]),
     (["newton", "--input", MAP2D, "--tnp", MAP2D], ["--input", "--tnp"]),
+    (["newton", "--tnp", ""], ["No such file", "''"]),
     (["plot", "--input", MAP2D, "--svg", os.devnull, "--window", "0,0;0,0"],
      ["window", "0,0;0,0"]),
     (["plot", "--input", MAP2D, "--svg", os.devnull, "--window", "1,0;1,0"],
@@ -150,11 +151,15 @@ MAP2D = fixture_path("map2d.json")
     (["compute"], ["compute", "--input"]),
     (["compute", "--input", MAP2D, "--res", "3"], ["--res 3"]),
     (["oracle", "--input", MAP2D, "--grid", "--res", "x"], ["--res", "'x'"]),
+    (["oracle", "--input", MAP2D], ["--point", "--grid"]),
+    (["oracle", "--input", MAP2D, "--grid", "--point=-2,-4"],
+     ["--point", "--grid"]),
 ], ids=["newton-tnp-on-an-input", "against-an-input", "res-zero",
         "res-negative", "newton-without-a-source", "newton-with-two-sources",
-        "plot-empty-window", "plot-reversed-window", "oracle-reversed-box",
+        "newton-empty-tnp", "plot-empty-window", "plot-reversed-window", "oracle-reversed-box",
         "oracle-empty-box-axis", "compute-without-input",
-        "compute-with-an-oracle-option", "res-not-an-integer"])
+        "compute-with-an-oracle-option", "res-not-an-integer",
+        "oracle-without-a-question", "oracle-with-two-questions"])
 def test_refused_arguments_exit_1_with_one_line(capsys, argv, names):
     code, out, err = run(capsys, *argv)
     assert code == 1 and not out
@@ -446,6 +451,75 @@ class TestTransversalityGate:
                 assert got == expected
         assert all(0 < refused[n] < 40 for n in (2, 3)), refused
         assert all(face_offenders.values()), face_offenders
+
+
+MAP2D_REFUSED = fixture_path("map2d_refused.json")
+
+#: what compute writes to stderr on map2d_refused, whose set the polyhedral
+#: recipe would miss a 2-dimensional piece of
+MAP2D_REFUSAL = """transversality violation; offending cells:
+  face=None cells=[4, 17]
+  face=11 cells=[0]
+"""
+
+#: every command that builds the set, as it runs on a map of n = 2 or 3
+SET_BUILDERS = {
+    "newton": lambda path, tmp: ["newton", "--input", path],
+    "oracle-grid": lambda path, tmp: ["oracle", "--input", path, "--grid",
+                                      "--res", "3"],
+    "plot": lambda path, tmp: ["plot", "--input", path, "--svg",
+                               str(tmp / "p.svg")],
+}
+
+
+class TestOneGate:
+    """Every command that builds the set passes compute's transversality
+    gate first, and refuses what compute refuses, in the same words."""
+
+    def test_compute_refuses_map2d_refused(self, capsys):
+        assert run(capsys, "compute", "--input", MAP2D_REFUSED) \
+            == (2, "", MAP2D_REFUSAL)
+
+    @pytest.mark.parametrize("command", sorted(SET_BUILDERS))
+    def test_set_builders_refuse_it_alike(self, tmp_path, capsys, command):
+        argv = SET_BUILDERS[command](MAP2D_REFUSED, tmp_path)
+        assert run(capsys, *argv) == (2, "", MAP2D_REFUSAL)
+        assert not (tmp_path / "p.svg").exists()
+
+    @pytest.mark.parametrize("command", ["newton", "oracle-grid"])
+    def test_map3d_is_refused_alike(self, tmp_path, capsys, command):
+        with open(fixture_path("map3d_refusal.stderr"), encoding="utf-8") as fh:
+            expected = fh.read()
+        argv = SET_BUILDERS[command](fixture_path("map3d.json"), tmp_path)
+        assert run(capsys, *argv) == (2, "", expected)
+
+    def test_the_oracle_still_answers_points(self, capsys):
+        # the oracle never consults the engine, so the gate does not hold it
+        code, out, err = run(capsys, "oracle", "--input", MAP2D_REFUSED,
+                             "--point=0,0")
+        assert code == 0 and not err
+        assert json.loads(out)["verdict"]["member"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["compute"], ["faces"], ["newton"], ["oracle", "--point=-2,-4"],
+        ["oracle", "--grid", "--res", "3"], ["plot", "--svg", "p.svg"]],
+        ids=["compute", "faces", "newton", "oracle-point", "oracle-grid",
+             "plot"])
+    def test_every_reader_prints_the_notices(self, tmp_path, capsys,
+                                             monkeypatch, argv):
+        # map2d with its first coefficient given as a series whose
+        # coefficient part "pi" is not rational
+        with open(MAP2D, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["maps"][0][0] = {"exp": [0, 1], "series": "pi t^0"}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv[:1], "--input", str(path),
+                             *argv[1:])
+        assert code == 0
+        assert err == ("notice: non-rational coefficient part 'pi' in "
+                       "'pi t^0' discarded; only the exponent of t matters\n")
 
 
 class TestOracleCommand:
