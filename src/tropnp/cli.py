@@ -26,9 +26,10 @@ from fractions import Fraction
 from .geom import DIM_CAP, Polyhedron, vsub
 from .tropical import (SupportError, TropicalMap, TropicalPolynomial,
                        exact_fraction, valuation_of_series)
-from .subdivision import cayley_profiles, decomposition, transversal
+from .subdivision import (cayley_profiles, decomposition, dual_ranks,
+                          transversal)
 from .faces import DimensionCapExceeded, delta0, enumerate_tuple_faces
-from .engine import GenericityError, TNPSet, analyze_gamma, tnp_set
+from .engine import GenericityError, TNPSet, tnp_set
 from .oracle import grid_compare, in_tnp, virtual_preimage
 from .newton import FanError, recover_fan
 
@@ -294,15 +295,18 @@ def dump_doc(doc: dict, path=None) -> str:
     return text
 
 
-def parse_output_doc(text: str) -> dict:
+def parse_output_doc(text: str, dim_cap=None) -> dict:
     """Round-trip parse of a compute output: the document with its pieces
-    as Polyhedron values under "tnp_pieces"."""
+    as Polyhedron values under "tnp_pieces".  An n above `dim_cap`, when
+    given, is refused before any piece is read."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise InputError(f'not a {SCHEMA} document (no "schema": "{SCHEMA}")')
     n = doc.get("n")
     if not _is_int(n) or n < 1:
         raise InputError("no positive integer 'n'")
+    if dim_cap is not None and n > dim_cap:
+        raise DimensionCapExceeded(f"dimension {n} exceeds cap {dim_cap}")
     tnp = doc.get("tnp")
     if not isinstance(tnp, dict) or not isinstance(tnp.get("pieces"), list):
         raise InputError("no 'tnp' piece list (not a compute output)")
@@ -316,11 +320,11 @@ def parse_output_doc(text: str) -> dict:
     return parsed
 
 
-def load_output_doc(path: str) -> dict:
+def load_output_doc(path: str, dim_cap=None) -> dict:
     """parse_output_doc of a file; errors name the file."""
     text = _read_text(path)
     try:
-        return parse_output_doc(text)
+        return parse_output_doc(text, dim_cap)
     except (InputError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -342,44 +346,37 @@ def _read_map(args):
 
 
 def _transversality_report(F, faces):
-    """Offending cells of the full decomposition and, when it has some, of
-    the restricted decomposition of every tuple-face that offends.
-
-    The verdict reads the cells' argmax profiles off the lifted Cayley
-    polytope of the map (`cayley_profiles`); only a refused map builds the
-    full complex, whose cell ids the list names.  A tuple-face with argmax
-    sets S_i restricts the components K = {i : S_i nonempty}; its restricted
-    complex is the star at infinity of the complex of those components in
-    the face's witness direction (Maclagan and Sturmfels, 2015), whose cells
-    are the ones with profile P_i inside S_i for every i in K.  So a face
-    offends exactly when some non-transversal profile of the components in
-    K lies inside its argmax sets, and only such faces have their
-    restricted complex built, for the ids of its offending cells.  The
-    profiles of each K are read once per map; a K of fewer than two
-    components has no non-transversal cell."""
-    term_maps = F.term_maps()
-
-    def non_transversal(K):
-        return [p for p in cayley_profiles(F.n, [term_maps[i] for i in K])
-                if not transversal(p)]
-
-    everyone = tuple(range(len(term_maps)))
-    bad = {everyone: non_transversal(everyone)}
-    if not bad[everyone]:
+    """The argmax profiles of the offending cells of the full decomposition
+    and of the restricted decomposition of every tuple-face, all read off
+    the lifted Cayley polytope of the map (`cayley_profiles`); no complex
+    is built.  A tuple-face with argmax sets S_i restricts the components
+    K = {i : S_i nonempty}; its restricted complex is the star at infinity
+    of the full one in the face's witness direction (Maclagan and
+    Sturmfels, 2015), so its profiles are the restrictions p|K, with () for
+    a component outside K, of the full profiles p with p_i inside S_i for
+    every i in K.  A transversal profile restricts to a transversal one, so
+    only the full complex's offenders are scanned."""
+    bad = [p for p in cayley_profiles(F.n, F.term_maps()) if not transversal(p)]
+    if not bad:
         return []
-    cx = decomposition(term_maps, F.n)
-    offenders = [{"face": None, "cells": cx.is_transversal()[1]}]
+    offenders = [{"face": None, "cells": sorted(bad)}]
     for face in faces:
-        K = tuple(i for i, s in enumerate(face.argmax) if s)
-        if len(K) < 2:
-            continue
-        if K not in bad:
-            bad[K] = non_transversal(K)
-        if any(all(face.argmax[i].issuperset(d) for i, d in zip(K, p))
-               for p in bad[K]):
-            cells = analyze_gamma(F, face).complex.is_transversal()[1]
+        S = face.argmax
+        cells = {tuple(d if s else () for d, s in zip(p, S)) for p in bad
+                 if all(s.issuperset(d) for d, s in zip(p, S) if s)}
+        cells = sorted(p for p in cells if not transversal(p))
+        if cells:
             offenders.append({"face": face.id, "cells": cells})
     return offenders
+
+
+def _refusal_line(face, profile) -> str:
+    """An offending cell's face, argmax profile and failing rank equation."""
+    union, summands = dual_ranks(profile)
+    duals = " | ".join(" ".join("(" + ",".join(map(str, a)) + ")" for a in d)
+                       or "-" for d in profile)
+    return (f"  face={face} {duals}: rank {union} < "
+            + " + ".join(map(str, summands)) + "\n")
 
 
 class TransversalityViolation(Exception):
@@ -395,7 +392,8 @@ def _gated_set(F, cap):
     if offenders:
         raise TransversalityViolation(
             "transversality violation; offending cells:\n" + "".join(
-                f"  face={o['face']} cells={o['cells']}\n" for o in offenders))
+                _refusal_line(o["face"], p) for o in offenders
+                for p in o["cells"]))
     return faces, tnp_set(F, faces=faces)
 
 
@@ -482,7 +480,7 @@ def cmd_faces(args) -> int:
 
 def cmd_newton(args) -> int:
     if args.tnp is not None:
-        source = _document_set(load_output_doc(args.tnp))
+        source = _document_set(load_output_doc(args.tnp, args.dim_cap))
     else:
         source = _gated_set(_read_map(args), args.dim_cap)[1]
     fan = recover_fan(source)

@@ -16,7 +16,8 @@ components of the complement.  The construction below rebuilds the fan:
    and the walls between them those of Z's edges,
 3. merge adjacent regions whose shared wall is not inside the skeleton (a
    wall's two neighbours are the regions of its edge's two vertices), and
-   collect all faces of the merged cones.
+   collect all faces of the merged cones.  A wall inside the skeleton
+   whose two sides merge anyway (a lone ray in the plane) is no corner locus.
 
 Cones are Polyhedrons with the origin as their point; `cones_by_dim` maps
 each dimension to the fan's cones of that dimension, sorted by canonical
@@ -121,11 +122,16 @@ def recover_fan(s: TNPSet) -> RecoveredFan:
             i = parent[i]
         return i
 
+    separated = []  # the walls inside the skeleton keep their sides apart
     for wall, i, j in walls:
         probe = wall.relative_interior_point()
         if any(sp.contains(probe) for sp in skeleton):
-            continue  # wall lies inside the skeleton: keep the separation
-        parent[find(i)] = find(j)
+            separated.append((i, j))
+        else:
+            parent[find(i)] = find(j)
+    if any(find(i) == find(j) for i, j in separated):
+        raise FanError("a piece has one complement region on both sides: "
+                       "the set is not a corner locus")
 
     groups = {}
     for i in range(len(regions)):

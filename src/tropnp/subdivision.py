@@ -23,8 +23,8 @@ profile.
 Where only the profiles are read, and no closures, `cayley_profiles` takes
 them off one hull instead: the upper faces of the lifted Cayley polytope
 that meet every layer, by the same mask reading as the factor regions.
-`transversal` is the rank test on a profile's dual points that both
-`Cell.is_transversal` and `tropnp compute`'s gate apply.
+`transversal` is the rank test on a profile's dual points that `tropnp
+compute`'s gate applies, and `dual_ranks` the ranks that it compares.
 """
 
 from __future__ import annotations
@@ -153,16 +153,22 @@ def cayley_profiles(n: int, term_maps: Sequence[Mapping]) -> list:
             for _, parts in faces]
 
 
-def transversal(duals: Sequence[Sequence]) -> bool:
-    """Whether the dual points of a cell, one sequence per factor, span a
-    dual cell whose dimension is the sum of the summands' dimensions:
-    rank(union of the D_i) == sum of rank(D_i), D_i the differences of the
-    i-th factor's points to its first one."""
+def dual_ranks(duals: Sequence[Sequence]):
+    """(rank of the union of the D_i, the ranks of the D_i) of a cell's dual
+    points, one sequence per factor, D_i the differences of the i-th
+    factor's points to its first one, for the factors of two points or more."""
     diffs = [[vsub(p, d[0]) for p in d[1:]] for d in duals if len(d) > 1]
-    if len(diffs) < 2:
+    return (matrix_rank([r for d in diffs for r in d]),
+            tuple(matrix_rank(d) for d in diffs))
+
+
+def transversal(duals: Sequence[Sequence]) -> bool:
+    """Whether a cell's dual cell has the sum of the summands' dimensions:
+    the ranks of `dual_ranks` add up, as they do for fewer than two D_i."""
+    if sum(len(d) > 1 for d in duals) < 2:
         return True
-    return matrix_rank([r for d in diffs for r in d]) \
-        == sum(matrix_rank(d) for d in diffs)
+    union, summands = dual_ranks(duals)
+    return union == sum(summands)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +186,6 @@ class Cell:
         self.closure = closure
         self.dim = closure.dim
         self.profile = profile
-
-    def is_transversal(self):
-        """dim dual == sum of the summand dims, read off the ranks of the
-        dual points (`transversal`)."""
-        return transversal([fc.dual_points for fc in self.profile])
 
     def __repr__(self):
         return f"Cell(id={self.id}, dim={self.dim})"
@@ -205,11 +206,6 @@ class CellComplex:
 
     def __len__(self):
         return len(self.cells)
-
-    def is_transversal(self):
-        """(all cells transversal, ids of offending cells)."""
-        offenders = [c.id for c in self.cells if not c.is_transversal()]
-        return (not offenders, offenders)
 
 
 def decomposition(term_maps: Sequence[Mapping], n: int, *,

@@ -131,9 +131,6 @@ class TropicalMap:
     def __call__(self, x):
         return tuple(p(x) for p in self.components)
 
-    def key(self):
-        return tuple(p.key() for p in self.components)
-
     def __repr__(self):
         return "TropicalMap(" + ", ".join(map(repr, self.components)) + ")"
 

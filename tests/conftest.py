@@ -12,7 +12,7 @@ from tropnp.engine import (GenericityError, TNPPiece, TNPSet, analyze_gamma,
 from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.geom import (_DD, GeometryError, Polyhedron, convex_hull, frac_vec,
                          int_rref, primitive, vdot, vsub)
-from tropnp.subdivision import decomposition
+from tropnp.subdivision import decomposition, transversal
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -42,19 +42,24 @@ def minkowski_sum_of(polytopes):
 
 
 def reference_transversality_report(F, faces):
-    """The all-face transversality gate: offending cells of the full
-    decomposition and of the restricted decomposition of every tuple-face,
-    each one built and checked."""
-    offenders = []
-    cx = decomposition(F.term_maps(), F.n)
-    ok, bad = cx.is_transversal()
-    if not ok:
-        offenders.append({"face": None, "cells": bad})
-    for face in faces:
-        ok, bad = analyze_gamma(F, face).complex.is_transversal()
-        if not ok:
-            offenders.append({"face": face.id, "cells": bad})
-    return offenders
+    """The all-face transversality gate: the argmax profiles of the offending
+    cells of the full decomposition and of the restricted decomposition of
+    every tuple-face, each complex built and each cell checked."""
+    complexes = [(None, decomposition(F.term_maps(), F.n))]
+    complexes += [(face.id, analyze_gamma(F, face).complex) for face in faces]
+    return [{"face": face, "cells": bad} for face, cx in complexes
+            if (bad := offending_profiles(cx))]
+
+
+def cell_profile(cell):
+    """A cell's argmax profile: the dual points of each factor."""
+    return tuple(fc.dual_points for fc in cell.profile)
+
+
+def offending_profiles(cx):
+    """The sorted argmax profiles of the cells of a complex that are not
+    transversal."""
+    return sorted(p for p in map(cell_profile, cx) if not transversal(p))
 
 
 def reference_arrangement(n, hyperplanes):

@@ -41,9 +41,10 @@ from tropnp.subdivision import transversal as subdivision_transversal
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
 from conftest import (argmax_at, balanced_weights, canonical_key_from,
-                      cell_dual, cell_summands, components, duality_violations,
-                      equal_as_sets, minkowski_sum_of, product_contribution,
-                      rank, reaches_infinity_nonnegatively, strict_witness,
+                      cell_dual, cell_profile, cell_summands, components,
+                      duality_violations, equal_as_sets, minkowski_sum_of,
+                      offending_profiles, product_contribution, rank,
+                      reaches_infinity_nonnegatively, strict_witness,
                       summand_ranks, vscale, with_level)
 
 F = Fraction
@@ -148,7 +149,8 @@ def _check_rank_dims(cx):
     for c in cx.cells:
         hull_dims = tuple(s.dim for s in cell_summands(c))
         assert summand_ranks(c) == hull_dims, (c, hull_dims)
-        assert c.is_transversal() == (cell_dual(c).dim == sum(hull_dims)), c
+        assert subdivision_transversal(cell_profile(c)) \
+            == (cell_dual(c).dim == sum(hull_dims)), c
 
 
 def _check_profiles(cx, term_maps):
@@ -187,7 +189,7 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
     _check_rank_dims(xi)
     _check_profiles(xi, m.term_maps())
     _check_closures(xi)
-    full_transversal = transversal = xi.is_transversal()[0]
+    full_transversal = transversal = not offending_profiles(xi)
     xi_duals = [cell_dual(c) for c in xi.cells]
     report.cayley_verdict_ok = full_transversal == all(
         map(subdivision_transversal, cayley_profiles(n, m.term_maps())))
@@ -204,7 +206,7 @@ def check_map(m: TropicalMap, index: int = 0, grid_res: int = 9) -> MapReport:
         _check_rank_dims(ctx.complex)
         _check_profiles(ctx.complex, ctx.restricted)
         _check_closures(ctx.complex)
-        if not ctx.complex.is_transversal()[0]:
+        if offending_profiles(ctx.complex):
             transversal = False
 
         if all(ctx.restricted):

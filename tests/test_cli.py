@@ -7,13 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropnp import cli, engine
+from tropnp import cli, engine, subdivision
 from tropnp.cli import (_transversality_report, dump_doc, load_input, main,
                         parse_input_spec, parse_output_doc, rat_str)
 from tropnp.engine import (GenericityError, TNPSet, analyze_gamma,
                            analyze_sigma, cell_contribution, tnp_set)
 from tropnp.faces import delta0, enumerate_tuple_faces
-from tropnp.subdivision import decomposition
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
 from conftest import (corner_locus_pieces, fixture_path, product_set,
@@ -27,12 +26,15 @@ EMPTY_SET_MAP = {"n": 2, "maps": [
     [{"exp": [1, 0], "val": "0"}, {"exp": [0, 1], "val": "0"}],
     [{"exp": [1, 1], "val": "0"}, {"exp": [2, 1], "val": "3"}]]}
 
-#: the refusal of a curve given twice, as written while every tuple-face's
-#: restricted complex was still built for the gate
+#: the refusal of a curve given twice: every cell where it bends offends,
+#: in the full complex and in the restricted complexes of faces 6 and 7
 DUPLICATE_CURVE_REFUSAL = """transversality violation; offending cells:
-  face=None cells=[0, 1, 2, 3]
-  face=6 cells=[0]
-  face=7 cells=[0]
+  face=None (0,1) (1,0) | (0,1) (1,0): rank 1 < 1 + 1
+  face=None (0,1) (1,0) (1,1) | (0,1) (1,0) (1,1): rank 2 < 2 + 2
+  face=None (0,1) (1,1) | (0,1) (1,1): rank 1 < 1 + 1
+  face=None (1,0) (1,1) | (1,0) (1,1): rank 1 < 1 + 1
+  face=6 (0,1) (1,1) | (0,1) (1,1): rank 1 < 1 + 1
+  face=7 (1,0) (1,1) | (1,0) (1,1): rank 1 < 1 + 1
 """
 
 
@@ -394,9 +396,10 @@ def _pieces_or_refusal(build):
 
 
 class TestTransversalityGate:
-    """compute gates on the full decomposition alone: a restricted complex
-    is the star at infinity of the full one in its face's witness
-    direction, so it offends only where the full complex does."""
+    """compute gates on the profiles of the full decomposition alone: a
+    restricted complex is the star at infinity of the full one in its
+    face's witness direction, so it offends only where the full complex
+    does, and its offending profiles are restrictions of the full ones."""
 
     def test_map3d_refusal_is_pinned(self, capsys):
         with open(fixture_path("map3d_refusal.stderr"), encoding="utf-8") as fh:
@@ -404,26 +407,39 @@ class TestTransversalityGate:
         code, out, err = run(capsys, "compute", "--input",
                              fixture_path("map3d.json"))
         assert (code, out, err) == (2, "", expected)
-        assert "  face=52 cells=[2, 3, 14]\n" in err
+        assert [line for line in err.splitlines()
+                if line.startswith("  face=52 ")] == [
+            "  face=52 (0,1,1) (1,1,1) | (1,2,4) | (1,0,0) (1,1,1) (2,1,1): "
+            "rank 2 < 1 + 2",
+            "  face=52 (0,1,1) (1,1,1) | (1,2,4) | (1,1,1) (2,1,1): "
+            "rank 1 < 1 + 1",
+            "  face=52 (0,1,1) (1,1,1) (2,2,2) | (1,2,4) | (1,1,1) (2,1,1): "
+            "rank 2 < 2 + 1"]
 
-    def test_an_accepted_map_builds_no_complex(self, monkeypatch, map2d,
-                                               map3d):
-        calls = []
+    def test_no_verdict_builds_a_complex(self, monkeypatch, map2d, map3d):
+        calls = dict.fromkeys(["decomposition", "analyze_gamma",
+                               "cayley_profiles"], 0)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return decomposition(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        for module in (cli, engine):
-            monkeypatch.setattr(module, "decomposition", counted)
-        faces = enumerate_tuple_faces(delta0(map2d))
-        assert _transversality_report(map2d, faces) == []
-        assert calls == []
-        # a refusal builds the full complex and one per offending face
-        faces = enumerate_tuple_faces(delta0(map3d))
-        offenders = _transversality_report(map3d, faces)
-        assert len(offenders) > 1
-        assert len(calls) == len(offenders)
+        for module in (cli, engine, subdivision):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counted(name, getattr(module, name)))
+        # an acceptance and a refusal with offending faces alike read the
+        # one lifted Cayley polytope of the map
+        for F, refused in ((map2d, False), (map3d, True)):
+            calls.update(dict.fromkeys(calls, 0))
+            offenders = _transversality_report(
+                F, enumerate_tuple_faces(delta0(F)))
+            assert len(offenders) > 1 if refused else offenders == []
+            assert calls == {"decomposition": 0, "analyze_gamma": 0,
+                             "cayley_profiles": 1}
 
     def test_agrees_with_the_all_face_gate(self, map3d):
         rng = random.Random(1103)
@@ -458,8 +474,9 @@ MAP2D_REFUSED = fixture_path("map2d_refused.json")
 #: what compute writes to stderr on map2d_refused, whose set the polyhedral
 #: recipe would miss a 2-dimensional piece of
 MAP2D_REFUSAL = """transversality violation; offending cells:
-  face=None cells=[4, 17]
-  face=11 cells=[0]
+  face=None (2,3) (3,3) | (0,4) (2,3) (2,4): rank 2 < 1 + 2
+  face=None (2,3) (3,3) | (0,4) (2,4): rank 1 < 1 + 1
+  face=11 (2,3) (3,3) | (0,4) (2,4): rank 1 < 1 + 1
 """
 
 #: every command that builds the set, as it runs on a map of n = 2 or 3
@@ -613,6 +630,38 @@ class TestNewtonCommand:
         assert run(capsys, "newton", "--tnp", str(out))[0] == 0
         assert run(capsys, "oracle", "--input", fixture_path("map2d.json"),
                    "--grid", "--res", "3", "--against", str(out))[0] == 0
+
+    def test_a_lone_ray_is_no_corner_locus(self, tmp_path, capsys):
+        # one complement region lies on both sides of the ray
+        doc = tmp_path / "ray.json"
+        doc.write_text(json.dumps(orthant_document(2)))
+        code, out, err = run(capsys, "newton", "--tnp", str(doc))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_tnp_honours_the_dimension_cap(self, tmp_path, capsys,
+                                           monkeypatch):
+        doc = tmp_path / "orthant.json"
+        doc.write_text(json.dumps(orthant_document(5)))
+
+        def geometry(*args):
+            raise AssertionError("geometry ran above the cap")
+
+        for name in ("poly_from_json", "recover_fan"):
+            monkeypatch.setattr(cli, name, geometry)
+        assert run(capsys, "newton", "--tnp", str(doc)) \
+            == (3, "", "error: dimension 5 exceeds cap 4\n")
+        assert run(capsys, "newton", "--tnp", str(doc), "--dim-cap", "2") \
+            == (3, "", "error: dimension 5 exceeds cap 2\n")
+
+
+def orthant_document(n):
+    """A tnp/1 document whose one piece is the orthant cone{e_1, ...,
+    e_(n-1)} in R^n."""
+    return {"schema": "tnp/1", "n": n, "tnp": {"pieces": [{
+        "vertices": [["0"] * n],
+        "rays": [[int(j == i) for j in range(n)] for i in range(n - 1)],
+        "lineality": []}]}}
 
 
 class TestPlotCommand:

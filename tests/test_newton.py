@@ -89,6 +89,18 @@ class TestKnownFan:
         with pytest.raises(FanError):
             recover_fan(TNPSet(2, [TNPPiece(seg, 0, 0)]))
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_a_wall_with_one_region_on_both_sides_is_an_error(self, n):
+        # the orthant cone{e_1, ..., e_(n-1)}: a ray in the plane, a
+        # quadrant in R^3, a 4-dimensional orthant in R^5.  Its complement
+        # is connected, so the one region
+        # around it lies on both sides of its walls, and no polynomial has
+        # it for its corner locus
+        rays = [tuple(int(j == i) for j in range(n)) for i in range(n - 1)]
+        orthant = Polyhedron.from_generators(n, [(0,) * n], rays)
+        with pytest.raises(FanError, match="one complement region on both"):
+            recover_fan(TNPSet.from_canonical(n, [orthant]))
+
 
 class TestAgainstIndependentNormalFan:
     def test_random_tropical_curves(self):

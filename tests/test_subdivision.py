@@ -10,8 +10,8 @@ from tropnp.subdivision import (FactorCell, _refine, cayley_profiles,
 
 from conftest import (argmax_at, cell_containing, cell_dual,
                       corner_locus_pieces, covered_by_union, duality_violations,
-                      equal_as_sets, fixture_path, summand_ranks, sum_polytope,
-                      with_level)
+                      equal_as_sets, fixture_path, offending_profiles,
+                      summand_ranks, sum_polytope, with_level)
 from property_suite import random_map
 
 F = Fraction
@@ -74,8 +74,7 @@ class TestVirtualLevelComplex:
         assert duality_violations(cx, extended) == []
 
     def test_transversal(self, cx):
-        ok, offenders = cx.is_transversal()
-        assert ok and offenders == []
+        assert offending_profiles(cx) == []
 
     def test_partition_of_sampled_points(self, cx, extended):
         rng = random.Random(77)
@@ -101,7 +100,7 @@ class TestVirtualLevelComplex:
 
 class TestPlaneCurvePairComplex:
     def test_transversal(self, xi):
-        assert xi.is_transversal() == (True, [])
+        assert offending_profiles(xi) == []
 
     def test_duality_invariants(self, xi, map2d):
         assert duality_violations(xi, map2d.term_maps()) == []
@@ -138,13 +137,11 @@ class TestTransversality:
     def test_identical_curves_are_not_transversal(self):
         terms = {(1, 0): F(0), (0, 1): F(0), (1, 1): F(2)}
         cx = decomposition([terms, dict(terms)], 2)
-        ok, offenders = cx.is_transversal()
-        assert not ok
-        assert offenders
+        assert offending_profiles(cx)
 
     def test_single_polynomial_always_transversal(self, map2d):
         cx = decomposition([map2d[0].terms], 2)
-        assert cx.is_transversal() == (True, [])
+        assert offending_profiles(cx) == []
 
 
 def regular_subdivision(support, lift):
@@ -307,9 +304,9 @@ class TestCayleyProfiles:
         m, _ = load_input(fixture_path("map2d_deg.json"))
         got = self.profiles(2, m.term_maps())
         cx = decomposition(m.term_maps(), n=2)
-        assert all(map(transversal, got)) == cx.is_transversal()[0]
+        assert all(map(transversal, got)) == (not offending_profiles(cx))
 
     def test_refused_map(self, map3d):
         got = self.profiles(3, map3d.term_maps())
         assert not all(map(transversal, got))
-        assert not decomposition(map3d.term_maps(), n=3).is_transversal()[0]
+        assert offending_profiles(decomposition(map3d.term_maps(), n=3))
