@@ -41,6 +41,8 @@ EXIT_GENERICITY = 2
 EXIT_DIM_CAP = 3
 EXIT_PLOT_DIM = 4
 
+GRID_RES = 33  # oracle --grid points per axis when --res is not given
+
 
 class InputError(ValueError):
     pass
@@ -415,6 +417,9 @@ def cmd_oracle(args) -> int:
     F = _read_map(args)
     doc = {"schema": SCHEMA, "n": F.n}
     if args.point is not None:
+        for option in ("res", "box", "against"):
+            if getattr(args, option) is not None:
+                raise InputError(f"--{option} applies to --grid only")
         pt = _parse_point(args.point, F.n)
         verdict = in_tnp(F, pt)
         doc["verdict"] = {
@@ -424,8 +429,9 @@ def cmd_oracle(args) -> int:
             "cell": verdict.cell_id,
         }
     else:
-        if args.res < 1:
-            raise InputError(f"--res must be at least 1, got {args.res}")
+        res = GRID_RES if args.res is None else args.res
+        if res < 1:
+            raise InputError(f"--res must be at least 1, got {res}")
         if args.against:
             parsed = load_output_doc(args.against)
             if parsed["n"] != F.n:
@@ -435,7 +441,7 @@ def cmd_oracle(args) -> int:
         else:
             engine = _gated_set(F, args.dim_cap)[1]
         box = _parse_box(args.box, "box", F.n) if args.box else None
-        report = grid_compare(F, engine, box=box, resolution=args.res)
+        report = grid_compare(F, engine, box=box, resolution=res)
         doc["grid"] = {
             "points": report.points,
             "members": report.members,
@@ -642,7 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--point", help="comma-separated rational coordinates")
     what.add_argument("--grid", action="store_true", help="grid comparison")
     p.add_argument("--box", help="'lo,hi' or per-axis 'lo,hi;lo,hi;...'")
-    p.add_argument("--res", type=int, default=33, help="grid points per axis")
+    p.add_argument("--res", type=int,
+                   help=f"grid points per axis (default {GRID_RES})")
     p.add_argument("--against", help="compare against a compute output file")
     p.set_defaults(func=cmd_oracle)
 

@@ -7,8 +7,11 @@ principles: max(F_i, y_i) is F_i with one more term, the constant y_i at
 the origin exponent, so `virtual_preimage` decomposes R^n by the extended
 components and keeps the cells on which every one of them bends (those are
 the cells inside every virtual preimage); `in_tnp` tests each closure's
-recession cone.  It never consults tuple-faces or restricted maps, so it
-arbitrates the engine.
+recession cone and names the first witness cell.  `member`, which decides
+the points of `grid_compare`, gives the same answer by a witness search
+that prunes every partial cell receding in no direction with a positive
+coordinate and builds no complex.  The oracle never consults tuple-faces
+or restricted maps, so it arbitrates the engine.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .geom import frac_vec, positive_coordinate_witness
-from .subdivision import CellComplex, decomposition
+from .subdivision import (CellComplex, decomposition,
+                          has_dicritical_bend_cell)
 from .tropical import TropicalMap
 from .engine import TNPSet, parallel_map
 
@@ -33,28 +37,37 @@ class OracleVerdict:
         return self.member
 
 
+def _level_terms(F: TropicalMap, y) -> list:
+    """The term maps of the max(F_i, y_i): each component's terms with the
+    constant term y_i added at the origin.  No component has a constant
+    term of its own (`TropicalPolynomial` refuses them), so the added term
+    replaces none."""
+    y = frac_vec(y)
+    if len(y) != F.n:
+        raise ValueError("point dimension mismatch")
+    origin = (0,) * F.n
+    return [{**terms, origin: v} for terms, v in zip(F.term_maps(), y)]
+
+
 def virtual_preimage(F: TropicalMap, y) -> CellComplex:
     """The cells of the common corner locus of the max(F_i, y_i): the
-    bend-only decomposition by each component's terms with the constant
-    term y_i added at the origin.  No component has a constant term of its
-    own (`TropicalPolynomial` refuses them), so the added term replaces
-    none."""
-    origin = (0,) * F.n
-    return decomposition([{**terms, origin: v}
-                          for terms, v in zip(F.term_maps(), y)],
-                         F.n, bend_only=True)
+    bend-only decomposition by the components extended by the levels."""
+    return decomposition(_level_terms(F, y), F.n, bend_only=True)
 
 
 def in_tnp(F: TropicalMap, y) -> OracleVerdict:
     """Decide membership of y, returning a witness cell and ray when inside."""
-    y = [Fraction(v) for v in frac_vec(y)]
-    if len(y) != F.n:
-        raise ValueError("point dimension mismatch")
     for cell in virtual_preimage(F, y).cells:
         witness = positive_coordinate_witness(cell.closure)
         if witness is not None:
             return OracleVerdict(True, cell.id, tuple(witness))
     return OracleVerdict(False)
+
+
+def member(F: TropicalMap, y) -> bool:
+    """`in_tnp(F, y).member`, by a search that stops at the first witness
+    cell and builds no complex."""
+    return has_dicritical_bend_cell(_level_terms(F, y), F.n)
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +147,11 @@ def grid_compare(F: TropicalMap, engine_set: TNPSet, box=None,
         points = [p + (v,) for p in points for v in axis]
 
     def check(pt):
-        verdict = in_tnp(F, pt)
+        oracle = member(F, pt)
         engine = engine_set.membership(pt)
-        if verdict.member != engine:
-            return GridMismatch(pt, verdict.member, engine)
-        return verdict.member
+        if oracle != engine:
+            return GridMismatch(pt, oracle, engine)
+        return oracle
 
     results = parallel_map(check, points)
     mismatches = [r for r in results if isinstance(r, GridMismatch)]

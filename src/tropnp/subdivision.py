@@ -15,10 +15,15 @@ Factor regions are enumerated through the lifted hull conv{(a, coeff_a)} in
 R^(n+1): an argmax set is the set of terms on a face exposed by some
 (x, 1), so the occurring sets are the ANDs of facet-incidence bitmasks (over
 all lifted terms) that include an upper facet, one whose normal has a
-positive last coordinate.  The refinement search prunes a partial profile
-as soon as one of its non-member inequalities is tight on the whole partial
-cell: every point below it would tie that term and so belongs to a finer
-profile.
+positive last coordinate.  The refinement search branches on the factor
+with the fewest cells first, skips a factor cell one of whose equality rows
+cannot vanish on the partial cell before building anything, and prunes a
+partial profile as soon as one of its non-member inequalities is tight on
+the whole partial cell: every point below it would tie that term and so
+belongs to a finer profile.  `has_dicritical_bend_cell`, the oracle's grid
+verdict, runs the same search over the bend-only cells, dropping every
+partial cell whose recession cone has no direction with a positive
+coordinate, and stops at the first cell it reaches.
 
 Where only the profiles are read, and no closures, `cayley_profiles` takes
 them off one hull instead: the upper faces of the lifted Cayley polytope
@@ -37,7 +42,7 @@ from operator import and_
 from typing import Mapping, Sequence
 
 from .geom import (_DD, Polyhedron, _homog_point, _incidence_masks, _ireduce,
-                   mask_closure, matrix_rank, vsub)
+                   _positive_direction, mask_closure, matrix_rank, vdot, vsub)
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,6 +213,12 @@ class CellComplex:
         return len(self.cells)
 
 
+def _factor_lists(term_maps: Sequence[Mapping], n: int, bend_only: bool):
+    """Per factor, its cells, only those on which it bends with `bend_only`."""
+    return [tuple(c for c in factor_cells(n, terms) if c.bends or not bend_only)
+            for terms in term_maps]
+
+
 def decomposition(term_maps: Sequence[Mapping], n: int, *,
                   bend_only: bool = False) -> CellComplex:
     """Common refinement of the argmax-region decompositions of the factors.
@@ -217,40 +228,76 @@ def decomposition(term_maps: Sequence[Mapping], n: int, *,
     per-factor argmax sets on its relative interior; with `bend_only`, only
     the cells on which every factor bends.
     """
-    factor_lists = []
-    for terms in term_maps:
-        cells = factor_cells(n, terms)
-        if bend_only:
-            cells = tuple(c for c in cells if c.bends)
-        factor_lists.append(cells)
-
-    found = _refine(n, factor_lists)
+    found = _refine(n, _factor_lists(term_maps, n, bend_only))
     found.sort(key=lambda t: (t[1].dim, t[1].canonical_key()))
     cells = [Cell(cid, poly, profile)
              for cid, (profile, poly) in enumerate(found)]
     return CellComplex(n, cells)
 
 
-def _refine(n: int, factor_lists: Sequence[Sequence[FactorCell]]) -> list:
+def has_dicritical_bend_cell(term_maps: Sequence[Mapping], n: int) -> bool:
+    """Whether some cell of `decomposition(term_maps, n, bend_only=True)`
+    has a closure whose recession cone holds a direction with a positive
+    coordinate; found by a search that stops at the first such cell, with
+    no complex built or sorted."""
+    return bool(_refine(n, _factor_lists(term_maps, n, True), reach=True))
+
+
+def _meets(dd: _DD, h) -> bool:
+    """Whether the row h is zero at some point (y0 > 0) of the nonempty
+    cone dd: along a lineality direction off its hyperplane, at a point on
+    it, or between a point and a generator strictly on opposite sides."""
+    if any(vdot(h, l) for l in dd.lin):
+        return True
+    above = below = point_above = point_below = False
+    for r in dd.rays:
+        d = vdot(h, r)
+        if d > 0:
+            above = True
+            point_above = point_above or r[0] > 0
+        elif d < 0:
+            below = True
+            point_below = point_below or r[0] > 0
+        elif r[0] > 0:
+            return True
+    return (point_above and below) or (point_below and above)
+
+
+def _refine(n: int, factor_lists: Sequence[Sequence[FactorCell]], *,
+            reach: bool = False) -> list:
     """(profile, closure) of every nonempty cell of the common refinement,
-    one FactorCell per factor list, in search order."""
+    one FactorCell per factor list, in search order; with `reach`, at most
+    one: the first whose closure recedes in a direction with a positive
+    coordinate.
+
+    The search branches first on the list with the fewest cells (ties in
+    list order), which keeps the set of leaves: a leaf is a profile whose
+    cell is nonempty with no non-member row tight on it all, and the cut at
+    an inner node is that test on a superset.  A cell's recession cone lies
+    in that of every node above it, so `reach` drops a node whose cone has
+    no direction with a positive coordinate.
+    """
+    order = sorted(range(len(factor_lists)), key=lambda i: len(factor_lists[i]))
+    place = sorted(range(len(order)), key=order.__getitem__)  # inverse of order
     found = []
 
     def empty(dd):
         return not any(r[0] > 0 for r in dd.rays)
 
-    def search(i, dd, profile, in_bits):
+    def search(depth, dd, chosen, in_bits):
         # dd: the homogenization cone of the node polyhedron, constraint k
         # owning bit k.  in_bits: the bits of every in_h inequality added so
         # far.  One of them tight on the whole node polyhedron (on every
         # extreme ray: the lineality lies in every hyperplane) stays tight
         # on every nonempty leaf below it, so a relative-interior point there
         # would tie a non-member entry: the points belong to a finer profile.
-        if i == len(factor_lists):
-            found.append((profile, Polyhedron._from_homog_generators(
-                n, dd.lin, dd.rays)))
+        if depth == len(order):
+            found.append((tuple(chosen[k] for k in place),
+                          Polyhedron._from_homog_generators(n, dd.lin, dd.rays)))
             return
-        for fc in factor_lists[i]:
+        for fc in factor_lists[order[depth]]:
+            if not all(_meets(dd, h) for h in fc.eq_h):
+                continue
             d = dd.clone()
             for h in fc.eq_h:
                 d.add(h, equality=True)
@@ -264,7 +311,12 @@ def _refine(n: int, factor_lists: Sequence[Sequence[FactorCell]]) -> list:
             bits = in_bits | ((1 << d.ncons) - (1 << first))
             if reduce(and_, d.masks) & bits:
                 continue
-            search(i + 1, d, profile + (fc,), bits)
+            if reach and _positive_direction(
+                    [r[1:] for r in d.rays if r[0] == 0], d.lin) is None:
+                continue
+            search(depth + 1, d, chosen + (fc,), bits)
+            if reach and found:
+                return
 
     root = _DD(n + 1)
     root.add((1,) + (0,) * n)  # x0 >= 0

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import os
 from fractions import Fraction
 from functools import reduce
@@ -87,6 +88,42 @@ def reference_arrangement(n, hyperplanes):
     root.add((1,) + (0,) * n)  # x0 >= 0
     rec(0, root, ())
     return cells
+
+
+def reference_refine(n, factor_lists):
+    """(profile, closure) of every nonempty cell of the common refinement,
+    one FactorCell per factor list, by the plain search: factor lists in
+    their own order, no meet test before a clone, every leaf kept."""
+    found = []
+
+    def empty(dd):
+        return not any(r[0] > 0 for r in dd.rays)
+
+    def search(i, dd, profile, in_bits):
+        if i == len(factor_lists):
+            found.append((profile, Polyhedron._from_homog_generators(
+                n, dd.lin, dd.rays)))
+            return
+        for fc in factor_lists[i]:
+            d = dd.clone()
+            for h in fc.eq_h:
+                d.add(h, equality=True)
+            if empty(d):
+                continue
+            first = d.ncons
+            for h in fc.in_h:
+                d.add(h)
+            if empty(d):
+                continue
+            bits = in_bits | ((1 << d.ncons) - (1 << first))
+            if reduce(operator.and_, d.masks) & bits:
+                continue
+            search(i + 1, d, profile + (fc,), bits)
+
+    root = _DD(n + 1)
+    root.add((1,) + (0,) * n)  # x0 >= 0
+    search(0, root, (), 0)
+    return found
 
 
 def face_in_direction(poly, alpha):

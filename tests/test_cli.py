@@ -156,12 +156,17 @@ MAP2D = fixture_path("map2d.json")
     (["oracle", "--input", MAP2D], ["--point", "--grid"]),
     (["oracle", "--input", MAP2D, "--grid", "--point=-2,-4"],
      ["--point", "--grid"]),
+    (["oracle", "--input", MAP2D, "--point=-2,-4", "--res", "0"], ["--res"]),
+    (["oracle", "--input", MAP2D, "--point=-2,-4", "--box=5,1"], ["--box"]),
+    (["oracle", "--input", MAP2D, "--point=-2,-4", "--against",
+      "/nonexistent"], ["--against"]),
 ], ids=["newton-tnp-on-an-input", "against-an-input", "res-zero",
         "res-negative", "newton-without-a-source", "newton-with-two-sources",
         "newton-empty-tnp", "plot-empty-window", "plot-reversed-window", "oracle-reversed-box",
         "oracle-empty-box-axis", "compute-without-input",
         "compute-with-an-oracle-option", "res-not-an-integer",
-        "oracle-without-a-question", "oracle-with-two-questions"])
+        "oracle-without-a-question", "oracle-with-two-questions",
+        "point-with-res", "point-with-box", "point-with-against"])
 def test_refused_arguments_exit_1_with_one_line(capsys, argv, names):
     code, out, err = run(capsys, *argv)
     assert code == 1 and not out

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from tropnp import oracle, subdivision
+from tropnp.cli import load_input
 from tropnp.engine import TNPPiece, TNPSet, tnp_set
 from tropnp.oracle import (boundary_samples, generic_offset, grid_compare,
-                           in_tnp)
+                           in_tnp, member)
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
-from conftest import verify_witness
+from conftest import fixture_path, verify_witness
 
 F = Fraction
 
@@ -45,6 +48,44 @@ class TestMembership:
         m = TropicalMap([f1, f2])
         for y in [(0, 0), (5, -3), (-2, 7)]:
             assert not in_tnp(m, y).member
+
+
+class TestMember:
+    """The witness search that decides grid points answers as `in_tnp`."""
+
+    @pytest.mark.parametrize("name", [
+        "map2d.json", "map2d_deg.json", "map2d_flat.json", "map3d_product.json",
+        "map3d_unbalanced.json", "map3d_unbounded.json"])
+    def test_equals_in_tnp(self, name):
+        # boundary samples lie on the set, off the generic grid; the seeded
+        # points mostly off it
+        m, _ = load_input(fixture_path(name))
+        rng = random.Random(name)
+        points = boundary_samples(tnp_set(m), minimum=30)
+        points += [tuple(F(rng.randint(-40, 40), rng.choice([1, 2, 3]))
+                         for _ in range(m.n)) for _ in range(20)]
+        verdicts = [in_tnp(m, p).member for p in points]
+        assert [member(m, p) for p in points] == verdicts
+        assert any(verdicts)
+
+    def test_grid_builds_no_complex(self, monkeypatch, map2d, set2d):
+        calls = dict.fromkeys(["decomposition", "in_tnp"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (oracle, subdivision):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        counted(name, getattr(module, name)))
+        report = grid_compare(map2d, set2d, box=[(-8, 6), (-8, 6)],
+                              resolution=5)
+        assert report.points == 25 and not report.mismatches
+        assert calls == {"decomposition": 0, "in_tnp": 0}
 
 
 class TestGridCompare:

@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from tropnp.cli import load_input
-from tropnp.geom import Polyhedron, _homog_ineq, convex_hull, vdot, vsub
-from tropnp.subdivision import (FactorCell, _refine, cayley_profiles,
+from tropnp.faces import delta0, enumerate_tuple_faces
+from tropnp.geom import _DD, Polyhedron, _homog_ineq, convex_hull, vdot, vsub
+from tropnp.subdivision import (FactorCell, _meets, _refine, cayley_profiles,
                                 decomposition, factor_cells, transversal)
 
 from conftest import (argmax_at, cell_containing, cell_dual,
                       corner_locus_pieces, covered_by_union, duality_violations,
                       equal_as_sets, fixture_path, offending_profiles,
-                      summand_ranks, sum_polytope, with_level)
+                      reference_refine, summand_ranks, sum_polytope, with_level)
 from property_suite import random_map
 
 F = Fraction
@@ -310,3 +311,81 @@ class TestCayleyProfiles:
         got = self.profiles(3, map3d.term_maps())
         assert not all(map(transversal, got))
         assert offending_profiles(decomposition(map3d.term_maps(), n=3))
+
+
+def _cell_table(cells):
+    """(id, per-factor dual points, closure key) of every cell."""
+    return [(cid, tuple(fc.dual_points for fc in profile), poly.canonical_key())
+            for cid, profile, poly in cells]
+
+
+def _reference_table(term_maps, n, bend_only):
+    """The cell table of the plain search, numbered as `decomposition`
+    numbers its cells."""
+    lists = [tuple(c for c in factor_cells(n, terms) if c.bends or not bend_only)
+             for terms in term_maps]
+    found = reference_refine(n, lists)
+    found.sort(key=lambda t: (t[1].dim, t[1].canonical_key()))
+    return _cell_table((cid, profile, poly)
+                       for cid, (profile, poly) in enumerate(found))
+
+
+class TestRefinementSearch:
+    """The search that branches on the shortest factor list first and skips
+    a factor cell whose equality row cannot meet the node finds the cells of
+    the plain search, numbered alike."""
+
+    @staticmethod
+    def check(term_maps, n):
+        for bend_only in (False, True):
+            cx = decomposition(term_maps, n, bend_only=bend_only)
+            assert _cell_table((c.id, c.profile, c.closure) for c in cx) \
+                == _reference_table(term_maps, n, bend_only), term_maps
+
+    @pytest.mark.parametrize("name", ["map2d.json", "map2d_deg.json",
+                                      "map2d_flat.json", "map2d_refused.json",
+                                      "map3d.json", "map3d_unbounded.json"])
+    def test_fixtures(self, name):
+        m, _ = load_input(fixture_path(name))
+        self.check(m.term_maps(), m.n)
+
+    def test_virtual_preimages_at_seeded_levels(self, map2d, map3d):
+        rng = random.Random(2941)
+        for m, count in ((map2d, 12), (map3d, 4)):
+            for _ in range(count):
+                levels = [F(rng.randint(-40, 40), rng.choice([1, 2, 3]))
+                          for _ in range(m.n)]
+                self.check([with_level(t, y)
+                            for t, y in zip(m.term_maps(), levels)], m.n)
+
+    def test_restricted_maps_of_seeded_maps(self):
+        rng = random.Random(5303)
+        for n, count, max_terms, exp_range in ((2, 40, 5, 4), (3, 12, 3, 2)):
+            for _ in range(count):
+                m = random_map(rng, n=n, max_terms=max_terms,
+                               min_terms=min(3, max_terms),
+                               exp_range=exp_range)
+                for face in enumerate_tuple_faces(delta0(m)):
+                    self.check([{a: c for a, c in comp.terms.items()
+                                 if a in argmax}
+                                for comp, argmax in zip(m.components,
+                                                        face.argmax)], n)
+
+    def test_meets_is_the_emptiness_of_the_cut(self):
+        # random nonempty cones in R^(n+1), x0 >= 0, against random rows
+        rng = random.Random(409)
+        checked = 0
+        while checked < 400:
+            n = rng.randint(1, 3)
+            dd = _DD(n + 1)
+            dd.add((1,) + (0,) * n)
+            for _ in range(rng.randint(0, 4)):
+                row = tuple(rng.randint(-2, 2) for _ in range(n + 1))
+                dd.add(row, equality=rng.random() < 0.2)
+            if not any(r[0] > 0 for r in dd.rays):
+                continue
+            h = tuple(rng.randint(-2, 2) for _ in range(n + 1))
+            cut = dd.clone()
+            cut.add(h, equality=True)
+            assert _meets(dd, h) == any(r[0] > 0 for r in cut.rays), (dd, h)
+            checked += 1
