@@ -112,10 +112,6 @@ class TNPSet:
     def polytopes(self):
         return [p for p, _ in self.canonical]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.canonical
-
     def membership(self, y) -> bool:
         """Closed membership: boundaries of pieces count."""
         y = frac_vec(y)

@@ -631,15 +631,6 @@ class Polyhedron:
 
     # -- operations ----------------------------------------------------------
 
-    def intersect(self, other: "Polyhedron") -> "Polyhedron":
-        if self.n != other.n:
-            raise GeometryError("ambient dimension mismatch")
-        if self.is_empty or other.is_empty:
-            return Polyhedron.empty(self.n)
-        i1, e1 = self.hrep()
-        i2, e2 = other.hrep()
-        return Polyhedron.from_hrep(self.n, i1 + i2, e1 + e2)
-
     def minkowski_sum(self, other: "Polyhedron") -> "Polyhedron":
         if self.n != other.n:
             raise GeometryError("ambient dimension mismatch")
@@ -688,36 +679,12 @@ class Polyhedron:
 
     # -- faces ---------------------------------------------------------------
 
-    def proper_faces(self) -> list["Polyhedron"]:
-        """All nonempty faces F with F != P, including the facets and vertices."""
-        return [f for f, _ in self.proper_faces_with_active()]
-
     def _facet_masks(self):
         """(reduced generators, points then (0, ray), and per canonical
         inequality row the bitmask of the generators on its hyperplane)."""
         self._ensure_reduced_vrep()
         gens = self._points + [(0,) + r for r in self._rays]
         return gens, _incidence_masks(self._rows()[0], gens)
-
-    def proper_faces_with_active(self):
-        """Proper faces paired with the indices of the facets containing them."""
-        if self.is_empty:
-            return []
-        gens, masks = self._facet_masks()
-        npts = len(self._points)
-        point_bits = (1 << npts) - 1
-        faces = []
-        # the faces are the ANDs of facet masks that hold a point
-        for mask in mask_closure(masks, masks):
-            if not mask & point_bits:
-                continue
-            idx = [k for k in range(len(gens)) if mask >> k & 1]
-            face = self._sub([gens[k] for k in idx if k < npts],
-                             [gens[k][1:] for k in idx if k >= npts])
-            faces.append((face, tuple(i for i, m in enumerate(masks)
-                                      if mask & m == mask)))
-        faces.sort(key=lambda fa: (fa[0].dim, fa[0].canonical_key()))
-        return faces
 
     def normal_fan(self) -> list:
         """(vertex mask, closed outer normal cone) of every face of a

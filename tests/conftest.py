@@ -12,7 +12,7 @@ from tropnp.engine import (GenericityError, TNPPiece, TNPSet, analyze_gamma,
                            analyze_sigma)
 from tropnp.faces import delta0, enumerate_tuple_faces
 from tropnp.geom import (_DD, GeometryError, Polyhedron, convex_hull, frac_vec,
-                         int_rref, primitive, vdot, vsub)
+                         int_rref, mask_closure, primitive, vdot, vsub)
 from tropnp.subdivision import decomposition, transversal
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
@@ -26,6 +26,44 @@ def fixture_path(name):
 # ---------------------------------------------------------------------------
 # reference constructions that tests compare the program against
 # ---------------------------------------------------------------------------
+
+def intersect(p, q):
+    """p and q intersected, from the union of their H-representations."""
+    if p.n != q.n:
+        raise GeometryError("ambient dimension mismatch")
+    if p.is_empty or q.is_empty:
+        return Polyhedron.empty(p.n)
+    i1, e1 = p.hrep()
+    i2, e2 = q.hrep()
+    return Polyhedron.from_hrep(p.n, i1 + i2, e1 + e2)
+
+
+def proper_faces_with_active(poly):
+    """The nonempty faces F != poly, sorted by (dim, canonical key), each
+    paired with the indices of the facets containing it: the ANDs of the
+    facet incidence masks that hold a point."""
+    if poly.is_empty:
+        return []
+    gens, masks = poly._facet_masks()
+    npts = len(poly._points)
+    point_bits = (1 << npts) - 1
+    faces = []
+    for mask in mask_closure(masks, masks):
+        if not mask & point_bits:
+            continue
+        idx = [k for k in range(len(gens)) if mask >> k & 1]
+        face = poly._sub([gens[k] for k in idx if k < npts],
+                         [gens[k][1:] for k in idx if k >= npts])
+        faces.append((face, tuple(i for i, m in enumerate(masks)
+                                  if mask & m == mask)))
+    faces.sort(key=lambda fa: (fa[0].dim, fa[0].canonical_key()))
+    return faces
+
+
+def proper_faces(poly):
+    """All nonempty faces F != poly, including the facets and vertices."""
+    return [f for f, _ in proper_faces_with_active(poly)]
+
 
 def normal_cone_of_face(poly, active_facets):
     """Outer normal cone of a face of `poly`, spanned by the normals of the
@@ -670,7 +708,7 @@ def components(polytopes):
 
     for i, j in itertools.combinations(range(len(polytopes)), 2):
         if find(i) != find(j) \
-                and not polytopes[i].intersect(polytopes[j]).is_empty:
+                and not intersect(polytopes[i], polytopes[j]).is_empty:
             parent[find(i)] = find(j)
     groups = {}
     for i, p in enumerate(polytopes):
@@ -685,7 +723,7 @@ def reaches_infinity_nonnegatively(component):
     n = component[0].n
     orthant = Polyhedron.from_generators(
         n, [(0,) * n], [tuple(int(i == j) for j in range(n)) for i in range(n)])
-    return any(p.recession_cone().intersect(orthant).rays for p in component)
+    return any(intersect(p.recession_cone(), orthant).rays for p in component)
 
 
 @pytest.fixture(scope="session")

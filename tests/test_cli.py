@@ -1,11 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropnp import cli, engine, subdivision
 from tropnp.cli import (_transversality_report, dump_doc, load_input, main,
@@ -274,8 +276,8 @@ FIVE_CYCLE_MAP = {"n": 5, "maps": [
 
 
 @pytest.mark.parametrize("argv, code, check", [
-    (("newton",), 1, lambda out, err: err == "error: empty set: there is no "
-                                             "polytope to recover\n"),
+    # the set is empty: its fan is that of a point
+    (("newton",), 0, lambda out, err: json.loads(out)["fan"]["span_dim"] == 0),
     (("oracle", "--grid", "--res", "1"), 0,
      lambda out, err: json.loads(out)["grid"]["points"] == 1),
 ], ids=["newton", "oracle-grid"])
@@ -658,6 +660,58 @@ class TestNewtonCommand:
             == (3, "", "error: dimension 5 exceeds cap 4\n")
         assert run(capsys, "newton", "--tnp", str(doc), "--dim-cap", "2") \
             == (3, "", "error: dimension 5 exceeds cap 2\n")
+
+
+def _fuzz_piece(n):
+    """A piece of a tnp/1 document: points in [-2, 2]^n, rays and lines in
+    {-1, 0, 1}^n, kept when its dimension is at most n - 1."""
+    coords = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    units = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+    return st.fixed_dictionaries({
+        "vertices": st.lists(coords.map(lambda v: list(map(str, v))),
+                             min_size=1, max_size=3),
+        "rays": st.lists(units, max_size=2),
+        "lineality": st.lists(units, max_size=n - 1),
+    }).filter(lambda piece: cli.poly_from_json(piece, n).dim <= n - 1)
+
+
+_fuzz_documents = st.sampled_from([2, 3]).flatmap(
+    lambda n: st.fixed_dictionaries({
+        "schema": st.just("tnp/1"), "n": st.just(n),
+        "tnp": st.fixed_dictionaries(
+            {"pieces": st.lists(_fuzz_piece(n), min_size=1, max_size=4)})}))
+
+
+#: the three coordinate planes of R^3, the corner locus of a cube's
+#: polynomial: Euler's relation at n = 3, which the draws rarely reach
+_COORDINATE_PLANES = {"schema": "tnp/1", "n": 3, "tnp": {"pieces": [
+    {"vertices": [["0", "0", "0"]], "rays": [],
+     "lineality": [[int(j == k) for j in range(3)] for k in range(3) if k != i]}
+    for i in range(3)]}}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fuzz_documents)
+@example(_COORDINATE_PLANES)
+def test_newton_tnp_fuzz(tmp_path_factory, doc):
+    # a fan or one line of refusal; a full-dimensional polytope obeys
+    # Euler's relation
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["newton", "--tnp", str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1), (code, err)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and not out
+        return
+    fan = json.loads(out)["fan"]
+    n = doc["n"]
+    if fan["span_dim"] == n:
+        assert sum((-1) ** j * f for j, f in enumerate(fan["face_vector"])) \
+            == 1 - (-1) ** n, fan
 
 
 def orthant_document(n):

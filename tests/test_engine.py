@@ -154,7 +154,7 @@ class TestTnpSet:
         f1 = TropicalPolynomial(2, {(1, 0): 0})
         f2 = TropicalPolynomial(2, {(0, 1): 0})
         s = tnp_set(TropicalMap([f1, f2]))
-        assert s.is_empty
+        assert not s.polytopes
         assert not s.membership((0, 0))
 
     def test_contains_expected_plane_in_3d(self, map3d):

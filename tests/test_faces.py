@@ -13,7 +13,8 @@ from tropnp.subdivision import _factor_cells
 from tropnp.tropical import TropicalMap, TropicalPolynomial
 
 from conftest import (equal_as_sets, face_in_direction, fixture_path,
-                      minkowski_sum_of, normal_cone_of_face, restrict)
+                      minkowski_sum_of, normal_cone_of_face, proper_faces,
+                      proper_faces_with_active, restrict)
 from property_suite import random_map
 
 F = Fraction
@@ -38,7 +39,7 @@ def reference_tuple_faces(tup):
     members exposed by its witness, the flags from origin containment."""
     total = minkowski_sum_of(tup.members)
     entries = [(face, normal_cone_of_face(total, active))
-               for face, active in total.proper_faces_with_active()]
+               for face, active in proper_faces_with_active(total)]
     if total.dim < tup.n:
         entries.append((total, normal_cone_of_face(total, ())))
     faces = []
@@ -192,7 +193,7 @@ class TestDelta0:
 
 class TestEnumeration:
     def test_one_face_per_proper_face_of_the_sum(self, tup2, faces2):
-        assert len(faces2) == len(minkowski_sum_of(tup2.members).proper_faces())
+        assert len(faces2) == len(proper_faces(minkowski_sum_of(tup2.members)))
         assert len(faces2) == 8
 
     def test_witness_exposes_the_sum_face(self, tup2, faces2):

@@ -3,13 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from tropnp.engine import TNPPiece, TNPSet, tnp_set
-from tropnp.geom import Polyhedron, convex_hull, primitive
-from tropnp.newton import FanError, _arrangement, _orth_project, recover_fan
+from tropnp.cli import _transversality_report, load_input
+from tropnp.engine import GenericityError, TNPPiece, TNPSet, tnp_set
+from tropnp.faces import delta0, enumerate_tuple_faces
+from tropnp.geom import Polyhedron, convex_hull, primitive, vsub
+from tropnp.newton import (FanError, _arrangement, _gradients, _orth_project,
+                           _skeleton_cones, recover_fan)
 from tropnp.subdivision import decomposition
 
-from conftest import (corner_locus_pieces, normal_cone_of_face,
-                      reference_arrangement)
+from conftest import (balanced_weights, corner_locus_pieces, fixture_path,
+                      normal_cone_of_face, product_set,
+                      proper_faces_with_active, reference_arrangement)
+from property_suite import random_map
 
 F = Fraction
 
@@ -29,7 +34,7 @@ def normal_fan_keys(points):
     """
     hull = convex_hull(points).dual_description()
     keys = set()
-    for _, active in hull.proper_faces_with_active():
+    for _, active in proper_faces_with_active(hull):
         keys.add(normal_cone_of_face(hull, active).canonical_key())
     whole = normal_cone_of_face(hull, [])
     if whole.dim > 0:
@@ -75,9 +80,16 @@ class TestKnownFan:
         assert fan.span_dim == 1
         assert fan.span_normals == ((0, 1),)
 
-    def test_empty_set_is_an_error(self):
-        with pytest.raises(FanError):
-            recover_fan(TNPSet(2, []))
+    def test_the_empty_set_has_the_fan_of_a_point(self):
+        # no walls: the walk stays at the origin, and the polytope is a point
+        for n in (2, 3):
+            fan = recover_fan(TNPSet(n, []))
+            (cone,), = [cones for cones in fan.cones_by_dim.values() if cones]
+            assert cone.dim == n and not cone.rays
+            assert cone.lineality == [tuple(int(i == j) for j in range(n))
+                                      for i in range(n)]
+            assert fan.face_vector == (1,) + (0,) * (n - 1)
+            assert fan.span_dim == 0 and fan.facet_normals == ()
 
     def test_full_dimensional_piece_is_an_error(self):
         square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -93,19 +105,18 @@ class TestKnownFan:
     def test_a_wall_with_one_region_on_both_sides_is_an_error(self, n):
         # the orthant cone{e_1, ..., e_(n-1)}: a ray in the plane, a
         # quadrant in R^3, a 4-dimensional orthant in R^5.  Its complement
-        # is connected, so the one region
-        # around it lies on both sides of its walls, and no polynomial has
-        # it for its corner locus
-        rays = [tuple(int(j == i) for j in range(n)) for i in range(n - 1)]
-        orthant = Polyhedron.from_generators(n, [(0,) * n], rays)
-        with pytest.raises(FanError, match="one complement region on both"):
-            recover_fan(TNPSet.from_canonical(n, [orthant]))
+        # is connected, so the one region around it lies on both sides of
+        # its walls: a walk around it comes back with the gradient moved by
+        # each wall's weight, and only zero weights close it
+        with pytest.raises(FanError, match="^no positive weights balance "
+                                           "the set: it is not a corner locus$"):
+            recover_fan(TNPSet.from_canonical(n, [orthant(n)]))
 
 
 class TestAgainstIndependentNormalFan:
     def test_random_tropical_curves(self):
         rng = random.Random(424242)
-        done = 0
+        done = homothets = 0
         while done < 12:
             m = rng.randint(2, 5)
             support = set()
@@ -125,28 +136,34 @@ class TestAgainstIndependentNormalFan:
                    for cones in fan.cones_by_dim.values() for c in cones
                    if c.dim > 0}
             assert got == expected
+            homothets += assert_newton_polytope(pieces, hull_pts)
+        assert homothets >= 8
 
     def test_random_tropical_surfaces(self):
         rng = random.Random(20261019)
-        done = 0
+        done = homothets = 0
         while done < 40:
             m = rng.randint(3, 6)
             support = set()
             while len(support) < m:
                 support.add(tuple(rng.randint(0, 2) for _ in range(3)))
             terms = {p: F(rng.randint(-9, 9)) for p in sorted(support)}
-            if not corner_locus_pieces(terms, 3):
+            pieces = corner_locus_pieces(terms, 3)
+            if not pieces:
                 continue  # everything dominated by one term
             done += 1
             fan = fan_of_corner_locus(terms, 3)
-            expected = normal_fan_keys(sorted(_active_support(terms, 3)))
+            hull_pts = sorted(_active_support(terms, 3))
+            expected = normal_fan_keys(hull_pts)
             got = {c.canonical_key()
                    for cones in fan.cones_by_dim.values() for c in cones
                    if c.dim > 0}
             assert got == expected, terms
+            homothets += assert_newton_polytope(pieces, hull_pts)
             if fan.span_dim == 3:
                 v, e, f = fan.face_vector
                 assert v - e + f == 2, terms
+        assert homothets >= 24
 
     def test_euler_relation_in_2d(self, map2d):
         fan = recover_fan(tnp_set(map2d))
@@ -160,6 +177,80 @@ class TestAgainstIndependentNormalFan:
         assert v - e + f == 2
         # a complete fan needs at least the combinatorics of a simplex
         assert v >= 4 and f >= 4
+
+
+def assert_newton_polytope(pieces, support):
+    """The hull of the walk's gradients has the normal fan of the Newton
+    polytope of the support.  A polytope with the normal fan of a simplex
+    (or a segment) is a homothet of it, so when the support's hull is one,
+    the gradients' hull equals it up to translation and a positive scale;
+    returns whether that comparison ran.  Other polytopes with that fan
+    differ in their edge lengths, as the balancing weights do: four rays
+    in the plane balance in a two-dimensional cone of weights."""
+    n = pieces[0].n
+    got = convex_hull(_gradients(n, _skeleton_cones(pieces)))
+    want = convex_hull(support)
+    assert normal_fan_keys(got.vertices) == normal_fan_keys(want.vertices)
+    if len(want.vertices) != want.dim + 1:
+        return False
+    # translation and a positive scale keep the lexicographic vertex order
+    du = [vsub(v, got.vertices[0]) for v in got.vertices]
+    dv = [vsub(v, want.vertices[0]) for v in want.vertices]
+    k = next(i for i, x in enumerate(dv[-1]) if x)
+    scale = du[-1][k] / dv[-1][k]
+    assert scale > 0 and du == [tuple(scale * x for x in v) for v in dv]
+    return True
+
+
+def orthant(n):
+    """The cone{e_1, ..., e_(n-1)} in R^n."""
+    rays = [tuple(int(j == i) for j in range(n)) for i in range(n - 1)]
+    return Polyhedron.from_generators(n, [(0,) * n], rays)
+
+
+class TestBalancingWeights:
+    """The walk finds positive weights exactly when the reference
+    balancing of `conftest.balanced_weights` does."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_no_weights_on_a_lone_orthant(self, n):
+        assert balanced_weights([orthant(n)]) is None
+        assert _gradients(n, [orthant(n)]) is None
+
+    def test_recession_fans_of_planar_outputs(self):
+        # the pure recession fans of accepted property-suite outputs, and
+        # each of them with one cone left out
+        rng = random.Random(909090)
+        found = {True: 0, False: 0}
+        for _ in range(120):
+            m = random_map(rng)
+            faces = enumerate_tuple_faces(delta0(m))
+            if _transversality_report(m, faces):
+                continue
+            try:
+                s = tnp_set(m, faces=faces)
+            except GenericityError:
+                continue
+            skeleton = _skeleton_cones(s.polytopes)
+            if not skeleton or any(c.dim != 1 for c in skeleton):
+                continue
+            for fan in [skeleton] + [skeleton[:k] + skeleton[k + 1:]
+                                     for k in range(len(skeleton))]:
+                if not fan:
+                    continue
+                balanced = balanced_weights(fan) is not None
+                assert (_gradients(2, fan) is not None) == balanced, fan
+                found[balanced] += 1
+        assert found[True] >= 20 and found[False] >= 5, found
+
+    def test_recession_fans_of_the_unbalanced_product_fixture(self):
+        # the product closure of this map has an unbalanced recession fan,
+        # and the set itself a balanced one
+        m, _ = load_input(fixture_path("map3d_unbalanced.json"))
+        for s, balanced in ((product_set(m), False), (tnp_set(m), True)):
+            skeleton = _skeleton_cones(s.polytopes)
+            assert (balanced_weights(skeleton) is not None) == balanced
+            assert (_gradients(3, skeleton) is not None) == balanced
 
 
 def _active_support(terms, n):
@@ -189,7 +280,13 @@ class TestArrangement:
 
     @staticmethod
     def check(n, hyperplanes):
-        regions, walls = _arrangement(n, hyperplanes)
+        vertices, walls = _arrangement(n, hyperplanes)
+        # the regions are the normal cones of the zonotope's vertices
+        zonotope = convex_hull(vertices)
+        assert zonotope.vertices == vertices
+        regions = [cone for mask, cone in zonotope.normal_fan()
+                   if mask.bit_count() == 1]
+        assert len(regions) == len(vertices)
         ref = reference_arrangement(n, hyperplanes)
         for cones, d in ((regions, n), ([w for w, _, _ in walls], n - 1)):
             keys = [c.canonical_key() for c in cones]

@@ -100,7 +100,7 @@ class TestGridCompare:
         f2 = TropicalPolynomial(2, {(0, 1): 0})
         m = TropicalMap([f1, f2])
         s = tnp_set(m)
-        assert s.is_empty
+        assert not s.polytopes
         report = grid_compare(m, s, box=[(-3, 3), (-3, 3)], resolution=5)
         assert not report.mismatches and report.members == 0
 

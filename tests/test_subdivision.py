@@ -12,6 +12,7 @@ from tropnp.subdivision import (FactorCell, _meets, _refine, cayley_profiles,
 from conftest import (argmax_at, cell_containing, cell_dual,
                       corner_locus_pieces, covered_by_union, duality_violations,
                       equal_as_sets, fixture_path, offending_profiles,
+                      proper_faces_with_active,
                       reference_refine, summand_ranks, sum_polytope, with_level)
 from property_suite import random_map
 
@@ -217,7 +218,7 @@ def _face_lattice_factor_cells(n, terms):
     ineqs, eqs = hull.hrep()
     eq_has_last = any(a[-1] != 0 for a, _ in eqs)
     cells = {}
-    for _, active in hull.proper_faces_with_active() + [(hull, ())]:
+    for _, active in proper_faces_with_active(hull) + [(hull, ())]:
         if not (eq_has_last or any(ineqs[i][0][-1] > 0 for i in active)):
             continue
         members = [k for k, p in enumerate(lifted)
